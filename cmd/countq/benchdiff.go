@@ -148,17 +148,18 @@ func diffBenchFiles(w io.Writer, oldPath, newPath string, noise float64) (int, e
 		fmt.Fprintf(w, "%-54s %-14s %12.1f %12.1f %+7.1f%%%s\n", key, metric, old, new, delta*100, flag)
 	}
 	// Allocations per op use the same noise band plus an absolute
-	// half-alloc grace: the whole-process GC counters jitter near zero
-	// (timer resets, GC bookkeeping), so 0 → 0.3 is measurement noise
-	// while 0 → 1 is a real object on the hot path — exactly the
-	// regression the zero-allocation gates exist to catch. Unlike the
-	// ratio metrics, an old value of 0 still participates.
+	// half-alloc grace (countq.AllocGrace): the whole-process GC
+	// counters jitter near zero (timer resets, GC bookkeeping), so
+	// 0 → 0.3 is measurement noise while 0 → 1 is a real object on the
+	// hot path — exactly the regression the zero-allocation gates exist
+	// to catch. Unlike the ratio metrics, an old value of 0 still
+	// participates.
 	checkAllocs := func(key string, old, new float64) {
 		if old < 0 || new < 0 {
 			return
 		}
 		flag := ""
-		if new > old*(1+noise)+0.5 {
+		if new > old*(1+noise)+countq.AllocGrace {
 			flag = "  REGRESSION"
 			regressions++
 		}

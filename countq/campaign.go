@@ -119,8 +119,9 @@ type Delta struct {
 	// AllocsRatio and LivePeakRatio compare the memory cost of counting:
 	// heap allocations per operation and the peak live heap while the
 	// phase ran. Below 1 means this entry allocates (or retains) less
-	// than the baseline. An entry that allocates nothing per op has no
-	// meaningful ratio and is omitted as 0, like the latency ratios.
+	// than the baseline. AllocsRatio is omitted as 0 when either side
+	// allocates less than AllocGrace per op — noise has no meaningful
+	// ratio — and LivePeakRatio when either side is zero.
 	AllocsRatio   float64 `json:"allocs_ratio,omitempty"`
 	LivePeakRatio float64 `json:"live_peak_ratio,omitempty"`
 }
@@ -239,7 +240,7 @@ func (c Campaign) Run() (*Comparison, error) {
 				P50Ratio:        latRatio(p.CounterLat, bp.CounterLat, p.QueueLat, bp.QueueLat, func(l *LatencyStats) float64 { return l.P50Ns }),
 				P99Ratio:        latRatio(p.CounterLat, bp.CounterLat, p.QueueLat, bp.QueueLat, func(l *LatencyStats) float64 { return l.P99Ns }),
 				FairnessRatio:   ratio(p.Fairness, bp.Fairness),
-				AllocsRatio:     ratio(p.AllocsPerOp, bp.AllocsPerOp),
+				AllocsRatio:     allocRatio(p.AllocsPerOp, bp.AllocsPerOp),
 				LivePeakRatio:   ratio(float64(p.LivePeakBytes), float64(bp.LivePeakBytes)),
 			})
 		}
@@ -251,7 +252,7 @@ func (c Campaign) Run() (*Comparison, error) {
 			P50Ratio:        latRatio(a.CounterLat, ba.CounterLat, a.QueueLat, ba.QueueLat, func(l *LatencyStats) float64 { return l.P50Ns }),
 			P99Ratio:        latRatio(a.CounterLat, ba.CounterLat, a.QueueLat, ba.QueueLat, func(l *LatencyStats) float64 { return l.P99Ns }),
 			FairnessRatio:   ratio(a.Fairness, ba.Fairness),
-			AllocsRatio:     ratio(a.AllocsPerOp, ba.AllocsPerOp),
+			AllocsRatio:     allocRatio(a.AllocsPerOp, ba.AllocsPerOp),
 			LivePeakRatio:   ratio(float64(a.LivePeakBytes), float64(ba.LivePeakBytes)),
 		}
 	}
@@ -262,6 +263,20 @@ func (c Campaign) Run() (*Comparison, error) {
 // missing measurement must not masquerade as a delta.
 func ratio(n, d float64) float64 {
 	if n <= 0 || d <= 0 {
+		return 0
+	}
+	return n / d
+}
+
+// AllocGrace is the allocs/op level below which a measurement is GC
+// bookkeeping noise, not an object on the hot path. benchdiff forgives
+// growth within it; campaigns show no allocation ratio below it.
+const AllocGrace = 0.5
+
+// allocRatio is ratio for allocs/op, omitted (0) when either side is
+// noise: two rows that both read "0.00 allocs/op" have no ratio.
+func allocRatio(n, d float64) float64 {
+	if n < AllocGrace || d < AllocGrace {
 		return 0
 	}
 	return n / d

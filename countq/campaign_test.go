@@ -362,3 +362,22 @@ func TestCampaignSharedSchedule(t *testing.T) {
 		}
 	}
 }
+
+// TestCampaignAllocRatioGrace pins the Δalloc column: two rows that both
+// read 0.00 allocs/op (here 0.0039 vs 0.00002, whose raw quotient is
+// 195x) get no ratio, and neither does any pair with a side under
+// AllocGrace; real allocation counts still compare.
+func TestCampaignAllocRatioGrace(t *testing.T) {
+	for _, c := range []struct{ n, d, want float64 }{
+		{0.0039, 0.00002, 0},
+		{0.00002, 0.0039, 0},
+		{0.4, 3, 0},
+		{3, 0.4, 0},
+		{0.5, 0.5, 1},
+		{3, 1.5, 2},
+	} {
+		if got := allocRatio(c.n, c.d); got != c.want {
+			t.Errorf("allocRatio(%v, %v) = %v, want %v", c.n, c.d, got, c.want)
+		}
+	}
+}

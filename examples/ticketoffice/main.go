@@ -18,6 +18,7 @@ import (
 	"log"
 	"math/rand"
 
+	"repro/countq"
 	"repro/internal/arrow"
 	"repro/internal/counting"
 	"repro/internal/graph"
@@ -35,59 +36,53 @@ func main() {
 
 	// 200 customers over 150 rounds.
 	const customers, window = 200, 150
-	qReqs := make([]arrow.Request, customers)
-	cReqs := make([]counting.Request, customers)
+	qOps := make([]sim.ScriptOp, customers)
+	cOps := make([]sim.ScriptOp, customers)
 	for i := 0; i < customers; i++ {
 		node := rng.Intn(g.N())
 		when := rng.Intn(window)
-		qReqs[i] = arrow.Request{Node: node, Time: when}
-		cReqs[i] = counting.Request{Node: node, Time: when}
+		qOps[i] = sim.ScriptOp{Node: node, Round: when, Op: countq.Op{Kind: countq.OpEnqueue, ID: int64(i)}}
+		cOps[i] = sim.ScriptOp{Node: node, Round: when, Op: countq.Op{Kind: countq.OpInc, N: 1}}
 	}
+	cfg := sim.Config{Graph: g}
 
 	// Numbered tickets: combining-tree counter.
-	tickets, err := counting.NewCombining(tr, cReqs)
+	tickets, err := sim.RunScript(cfg, tr, counting.NewCounterBridge, cOps)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tStats, err := sim.New(sim.Config{Graph: g}, tickets).Run()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := tickets.Validate(); err != nil {
+	if err := sim.VerifyRealTimeOrder(cOps, tickets); err != nil {
 		log.Fatal(err)
 	}
 
-	// Service chain: long-lived arrow.
-	chain, err := arrow.NewLongLived(tr, 27, qReqs)
+	// Service chain: long-lived arrow, with the queue tail at the head
+	// office (the tree's root).
+	chain, err := sim.RunScript(cfg, tr, arrow.NewQueueBridge, qOps)
 	if err != nil {
 		log.Fatal(err)
 	}
-	qStats, err := sim.New(sim.Config{Graph: g}, chain).Run()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := chain.Order(); err != nil {
+	if err := sim.VerifyRealTimeOrder(qOps, chain); err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("ticket office on %s: %d customers over %d rounds\n\n", g, customers, window)
 	fmt.Printf("%-28s %14s %14s %10s\n", "design", "total latency", "mean latency", "messages")
 	fmt.Printf("%-28s %14d %14.1f %10d\n", "numbered tickets (counting)",
-		tickets.TotalLatency(), float64(tickets.TotalLatency())/customers, tStats.MessagesSent)
+		tickets.TotalLatency, float64(tickets.TotalLatency)/customers, tickets.Stats.MessagesSent)
 	fmt.Printf("%-28s %14d %14.1f %10d\n", "service chain (queuing)",
-		chain.TotalLatency(), float64(chain.TotalLatency())/customers, qStats.MessagesSent)
+		chain.TotalLatency, float64(chain.TotalLatency)/customers, chain.Stats.MessagesSent)
 	fmt.Printf("\ncounting/queuing latency ratio: %.1f×\n",
-		float64(tickets.TotalLatency())/float64(chain.TotalLatency()))
+		float64(tickets.TotalLatency)/float64(chain.TotalLatency))
 
 	// Spot-check a few customers.
 	fmt.Println("\ncustomer  node  arrives  ticket#  (counting)   pred  (queuing)")
 	for i := 0; i < 5; i++ {
 		pred := "HEAD"
-		if p := chain.Pred(i); p != arrow.Head {
+		if p := chain.Values[i]; p != countq.Head {
 			pred = fmt.Sprintf("cust%d", p)
 		}
 		fmt.Printf("%8d %5d %8d %8d %13s %6s\n",
-			i, qReqs[i].Node, qReqs[i].Time, tickets.CountOf(i), "", pred)
+			i, qOps[i].Node, qOps[i].Round, tickets.Values[i], "", pred)
 	}
 	fmt.Println("\nboth designs yield one consistent global order; the chain just costs less to build")
 }

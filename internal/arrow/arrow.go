@@ -16,6 +16,12 @@
 // terminates (the accounting used by Theorem 4.1); with WithResponse set,
 // an explicit response message is routed back over the tree and the delay is
 // its delivery round.
+//
+// The long-lived protocol, where operations arrive over time, is
+// NewQueueBridge: a sim.BridgeProtocol that sim.RunScript drives from a
+// fixed schedule and the sim bridge serves live as `sim-arrow-queue`. The
+// one-shot Protocol stays as the time-zero reference it is tested
+// against.
 package arrow
 
 import (

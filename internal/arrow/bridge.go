@@ -10,34 +10,37 @@ import (
 	"repro/internal/tree"
 )
 
-// The bridge adapter runs the long-lived arrow protocol under the sim
-// bridge, registering it as the `sim-arrow-queue` structure. This is the
-// paper's fast side of the separation made campaign-measurable: where
-// sim-queue routes every Enqueue to a central root (Θ(n²) contention on
-// the star), arrow orders operations by distributed path reversal — each
-// request chases the moving tail over at most D hops and the ordering
-// point migrates to the requester, so there is no fixed hot spot. One
+// The long-lived arrow protocol (Kuhn & Wattenhofer's setting, the
+// paper's reference [8]): queuing operations arrive over time rather than
+// all at time zero, and path reversal needs no modification. This is the
+// package's one long-lived implementation. sim.RunScript drives it from a
+// fixed schedule (experiment E13, the golden traces, the property tests);
+// the sim bridge serves it live as the `sim-arrow-queue` structure. This
+// is the paper's fast side of the separation made campaign-measurable:
+// where sim-queue routes every Enqueue to a central root (Θ(n²)
+// contention on the star), arrow orders operations by distributed path
+// reversal — each request chases the moving tail over at most D hops and
+// the ordering point migrates to the requester, so there is no fixed hot
+// spot. One
 //
 //	countq compare "sim-queue,sim-arrow-queue" -scenario "ramp?gmax=8"
 //
 // puts Theorem 4.1's low-congestion queuing next to the naive baseline
 // under identical hop latency and capacity.
 
-// kindChase is the bridge chase message: A = operation token. The
-// terminating node reads the predecessor locally, so the chase carries
-// nothing else.
-const kindChase = 121
-
 // queueBridge implements sim.BridgeProtocol with the long-lived arrow
-// protocol, open to operations injected at any time (unlike LongLived's
-// fixed request schedule).
+// protocol. The queue tail starts at the spanning tree's root; a queue
+// message carries the operation's token in A.
 type queueBridge struct {
 	grants sim.Grants
 	link   []int   // arrow pointers: self at a sink, else next hop tailward
 	lastID []int64 // lastID[v] = user id of the last op issued at v (or Head)
 }
 
-func newQueueBridge(g *graph.Graph, tr *tree.Tree, grants sim.Grants) (sim.BridgeProtocol, error) {
+// NewQueueBridge is the sim.ProtoMaker of the long-lived arrow protocol:
+// each operation is granted its predecessor's id (countq.Head for the
+// first).
+func NewQueueBridge(g *graph.Graph, tr *tree.Tree, grants sim.Grants) (sim.BridgeProtocol, error) {
 	router := tr.NewRouter()
 	root := tr.Root()
 	n := g.N()
@@ -76,7 +79,7 @@ func (p *queueBridge) Issue(env *sim.Env, node int, token int, op countq.Op) {
 		return
 	}
 	p.link[node] = node
-	env.Send(node, target, sim.Message{Kind: kindChase, A: token})
+	env.Send(node, target, sim.Message{Kind: kindQueue, A: token})
 }
 
 // Deliver handles chasing messages exactly as in the one-shot protocol:
@@ -85,7 +88,7 @@ func (p *queueBridge) Issue(env *sim.Env, node int, token int, op countq.Op) {
 //
 //countq:hotpath
 func (p *queueBridge) Deliver(env *sim.Env, node int, m sim.Message) {
-	if m.Kind != kindChase {
+	if m.Kind != kindQueue {
 		failKind(env, m.Kind)
 		return
 	}
@@ -95,7 +98,7 @@ func (p *queueBridge) Deliver(env *sim.Env, node int, m sim.Message) {
 		p.grants.Grant(m.A, p.lastID[node])
 		return
 	}
-	env.Send(node, old, sim.Message{Kind: kindChase, A: m.A})
+	env.Send(node, old, sim.Message{Kind: kindQueue, A: m.A})
 }
 
 // failKind aborts the simulation on a foreign message kind — out of line
@@ -128,7 +131,7 @@ func init() {
 				Capacity: o.Int("cap", 0),
 				Pipeline: o.Int("pipeline", 0),
 				Queue:    true,
-				Proto:    newQueueBridge,
+				Proto:    NewQueueBridge,
 			}
 			seed := o.Int("seed", 1)
 			if jitter := o.Int("jitter", 0); jitter > 0 {

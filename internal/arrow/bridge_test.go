@@ -17,7 +17,7 @@ func newTestBridge(t *testing.T, topo string, nodes int, delay sim.DelayModel) *
 		Topo:  topo,
 		Nodes: nodes,
 		Queue: true,
-		Proto: newQueueBridge,
+		Proto: NewQueueBridge,
 		Delay: delay,
 	})
 	if err != nil {

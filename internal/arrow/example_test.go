@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"log"
 
+	"repro/countq"
 	"repro/internal/arrow"
 	"repro/internal/graph"
+	"repro/internal/sim"
 	"repro/internal/tree"
 )
 
@@ -32,22 +34,31 @@ func ExampleRunOneShot() {
 	// total delay: 5
 }
 
-// ExampleNewLongLived schedules requests over time; the protocol still
-// produces one global order.
-func ExampleNewLongLived() {
+// ExampleNewQueueBridge runs the long-lived arrow protocol from a
+// schedule of requests spread over time: the first operation waits for
+// its queue message to reach the tail at the root, the second chases the
+// moved tail back, and both land in one global order.
+func ExampleNewQueueBridge() {
+	g := graph.Path(4)
 	tr, err := tree.PathTree([]int{0, 1, 2, 3})
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := arrow.NewLongLived(tr, 0, []arrow.Request{
-		{Node: 3, Time: 0},
-		{Node: 1, Time: 20},
-	})
+	ops := []sim.ScriptOp{
+		{Node: 3, Round: 0, Op: countq.Op{Kind: countq.OpEnqueue, ID: 30}},
+		{Node: 1, Round: 20, Op: countq.Op{Kind: countq.OpEnqueue, ID: 10}},
+	}
+	res, err := sim.RunScript(sim.Config{Graph: g}, tr, arrow.NewQueueBridge, ops)
 	if err != nil {
 		log.Fatal(err)
 	}
-	_ = p // run it with sim.New(sim.Config{Graph: g}, p).Run()
-	fmt.Println("ops scheduled:", 2)
+	if err := sim.VerifyRealTimeOrder(ops, res); err != nil {
+		log.Fatal(err)
+	}
+	for i, op := range ops {
+		fmt.Printf("id %d: predecessor %d, granted in round %d\n", op.Op.ID, res.Values[i], res.Rounds[i])
+	}
 	// Output:
-	// ops scheduled: 2
+	// id 30: predecessor -1, granted in round 3
+	// id 10: predecessor 30, granted in round 22
 }

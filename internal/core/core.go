@@ -15,9 +15,11 @@ import (
 	"strings"
 	"sync"
 
+	"repro/countq"
 	"repro/internal/arrow"
 	"repro/internal/counting"
 	"repro/internal/graph"
+	"repro/internal/sim"
 	"repro/internal/tree"
 )
 
@@ -241,15 +243,17 @@ func hamiltonPathTree(g *graph.Graph) (*tree.Tree, error) {
 // base budget).
 func countingPortfolio(g *graph.Graph, tr *tree.Tree, req []bool) (string, int, map[string]int, error) {
 	totals := make(map[string]int)
-	central, err := counting.NewCentral(tr, req)
-	if err != nil {
-		return "", 0, nil, err
+	var ops []sim.ScriptOp
+	for v, r := range req {
+		if r {
+			ops = append(ops, sim.ScriptOp{Node: v, Op: countq.Op{Kind: countq.OpInc, N: 1}})
+		}
 	}
-	if res, err := counting.Run(g, central, 1); err == nil {
-		totals["central"] = res.TotalDelay
-	} else {
+	central, err := runScript(g, tr, sim.NewCentralCounter, ops)
+	if err != nil {
 		return "", 0, nil, fmt.Errorf("central: %w", err)
 	}
+	totals["central"] = central
 	tc, err := counting.NewTreeCount(tr, req)
 	if err != nil {
 		return "", 0, nil, err
@@ -294,4 +298,18 @@ func runArrow(g *graph.Graph, tr *tree.Tree, tail int, req []bool, capacity int)
 		return 0, err
 	}
 	return res.TotalDelay, nil
+}
+
+// runScript runs ops through the protocol mk on (g, tr) at capacity 1,
+// validates the counts or the queue order together with the
+// quiescent-point real-time order, and returns the total latency.
+func runScript(g *graph.Graph, tr *tree.Tree, mk sim.ProtoMaker, ops []sim.ScriptOp) (int, error) {
+	res, err := sim.RunScript(sim.Config{Graph: g}, tr, mk, ops)
+	if err != nil {
+		return 0, err
+	}
+	if err := sim.VerifyRealTimeOrder(ops, res); err != nil {
+		return 0, err
+	}
+	return res.TotalLatency, nil
 }

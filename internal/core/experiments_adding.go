@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/countq"
 	"repro/internal/arrow"
 	"repro/internal/counting"
 	"repro/internal/graph"
@@ -44,47 +45,28 @@ func RunE16(cfg Config) (*Table, error) {
 		n := g.N()
 		for _, load := range []int{n, 2 * n} {
 			horizon := 100
-			qReqs := make([]arrow.Request, load)
-			cReqs := make([]counting.Request, load)
-			aReqs := make([]counting.AddRequest, load)
+			qOps := make([]sim.ScriptOp, load)
+			cOps := make([]sim.ScriptOp, load)
+			aOps := make([]sim.ScriptOp, load)
 			for i := 0; i < load; i++ {
 				node := rng.Intn(n)
 				when := rng.Intn(horizon)
-				qReqs[i] = arrow.Request{Node: node, Time: when}
-				cReqs[i] = counting.Request{Node: node, Time: when}
-				aReqs[i] = counting.AddRequest{Node: node, Time: when, Amount: 1 + rng.Intn(9)}
+				qOps[i] = sim.ScriptOp{Node: node, Round: when, Op: countq.Op{Kind: countq.OpEnqueue, ID: int64(i)}}
+				cOps[i] = sim.ScriptOp{Node: node, Round: when, Op: countq.Op{Kind: countq.OpInc, N: 1}}
+				aOps[i] = sim.ScriptOp{Node: node, Round: when, Op: countq.Op{Kind: countq.OpInc, N: int64(1 + rng.Intn(9))}}
 			}
-			q, err := arrow.NewLongLived(tr, 0, qReqs)
+			ql, err := runScript(g, tr, arrow.NewQueueBridge, qOps)
 			if err != nil {
 				return nil, err
 			}
-			if _, err := sim.New(sim.Config{Graph: g}, q).Run(); err != nil {
-				return nil, err
-			}
-			if _, err := q.Order(); err != nil {
-				return nil, err
-			}
-			c, err := counting.NewCombining(tr, cReqs)
+			cl, err := runScript(g, tr, counting.NewCounterBridge, cOps)
 			if err != nil {
 				return nil, err
 			}
-			if _, err := sim.New(sim.Config{Graph: g}, c).Run(); err != nil {
-				return nil, err
-			}
-			if err := c.Validate(); err != nil {
-				return nil, err
-			}
-			a, err := counting.NewAdder(tr, aReqs)
+			al, err := runScript(g, tr, counting.NewCounterBridge, aOps)
 			if err != nil {
 				return nil, err
 			}
-			if _, err := sim.New(sim.Config{Graph: g}, a).Run(); err != nil {
-				return nil, err
-			}
-			if err := a.ValidateSums(); err != nil {
-				return nil, err
-			}
-			ql, cl, al := q.TotalLatency(), c.TotalLatency(), a.TotalLatency()
 			if cl <= ql || al <= ql {
 				return nil, fmt.Errorf("E16: queuing %d not below counting %d / addition %d", ql, cl, al)
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/countq"
 	"repro/internal/arrow"
 	"repro/internal/counting"
 	"repro/internal/graph"
@@ -44,35 +45,22 @@ func RunE13(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		for _, load := range []int{n / 2, n, 2 * n} {
-			qReqs := make([]arrow.Request, load)
-			cReqs := make([]counting.Request, load)
-			for i := range qReqs {
+			qOps := make([]sim.ScriptOp, load)
+			cOps := make([]sim.ScriptOp, load)
+			for i := range qOps {
 				node := rng.Intn(g.N())
 				when := rng.Intn(horizon)
-				qReqs[i] = arrow.Request{Node: node, Time: when}
-				cReqs[i] = counting.Request{Node: node, Time: when}
+				qOps[i] = sim.ScriptOp{Node: node, Round: when, Op: countq.Op{Kind: countq.OpEnqueue, ID: int64(i)}}
+				cOps[i] = sim.ScriptOp{Node: node, Round: when, Op: countq.Op{Kind: countq.OpInc, N: 1}}
 			}
-			q, err := arrow.NewLongLived(tr, 0, qReqs)
+			ql, err := runScript(g, tr, arrow.NewQueueBridge, qOps)
 			if err != nil {
-				return nil, err
-			}
-			if _, err := sim.New(sim.Config{Graph: g}, q).Run(); err != nil {
-				return nil, err
-			}
-			if err := q.VerifyRealTimeOrder(); err != nil {
 				return nil, fmt.Errorf("E13: %w", err)
 			}
-			c, err := counting.NewCombining(tr, cReqs)
+			cl, err := runScript(g, tr, counting.NewCounterBridge, cOps)
 			if err != nil {
-				return nil, err
-			}
-			if _, err := sim.New(sim.Config{Graph: g}, c).Run(); err != nil {
-				return nil, err
-			}
-			if err := c.Validate(); err != nil {
 				return nil, fmt.Errorf("E13: %w", err)
 			}
-			ql, cl := q.TotalLatency(), c.TotalLatency()
 			if cl <= ql {
 				return nil, fmt.Errorf("E13: counting latency %d not above queuing %d (n=%d load=%d)", cl, ql, n, load)
 			}

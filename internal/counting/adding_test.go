@@ -5,87 +5,65 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/countq"
 	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
 
+// Distributed addition is the combining tree with block sizes > 1: an
+// op adding amount is granted the first count of its block, the
+// exclusive prefix sum of the addends served before it plus one.
+
 func TestAdderSingleOp(t *testing.T) {
 	g := graph.Path(4)
 	tr := identityPathTree(t, 4)
-	a, err := NewAdder(tr, []AddRequest{{Node: 3, Time: 0, Amount: 7}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.New(sim.Config{Graph: g}, a).Run(); err != nil {
-		t.Fatal(err)
-	}
-	if a.ValueOf(0) != 7 {
-		t.Errorf("value = %d, want 7", a.ValueOf(0))
-	}
-	if err := a.ValidateSums(); err != nil {
-		t.Error(err)
+	res := runCombining(t, sim.Config{Graph: g}, tr, []request{{node: 3, amount: 7}})
+	if res.Values[0] != 1 {
+		t.Errorf("block start = %d, want 1", res.Values[0])
 	}
 }
 
 func TestAdderSequentialPrefixSums(t *testing.T) {
 	g := graph.Path(3)
 	tr := identityPathTree(t, 3)
-	reqs := []AddRequest{
-		{Node: 0, Time: 0, Amount: 5},
-		{Node: 0, Time: 10, Amount: 3},
-		{Node: 0, Time: 20, Amount: 2},
-	}
-	a, err := NewAdder(tr, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.New(sim.Config{Graph: g}, a).Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []int{5, 8, 10}
-	for op, w := range want {
-		if a.ValueOf(op) != w {
-			t.Errorf("value(op%d) = %d, want %d", op, a.ValueOf(op), w)
+	res := runCombining(t, sim.Config{Graph: g}, tr, []request{
+		{node: 0, round: 0, amount: 5},
+		{node: 0, round: 10, amount: 3},
+		{node: 0, round: 20, amount: 2},
+	})
+	for op, want := range []int64{1, 6, 9} {
+		if res.Values[op] != want {
+			t.Errorf("block start(op%d) = %d, want %d", op, res.Values[op], want)
 		}
-	}
-	if err := a.ValidateSums(); err != nil {
-		t.Error(err)
 	}
 }
 
 func TestAdderRejectsBadAmount(t *testing.T) {
+	g := graph.Path(3)
 	tr := identityPathTree(t, 3)
-	if _, err := NewAdder(tr, []AddRequest{{Node: 0, Time: 0, Amount: 0}}); err == nil {
-		t.Error("zero amount accepted")
-	}
-	if _, err := NewAdder(tr, []AddRequest{{Node: 0, Time: 0, Amount: -4}}); err == nil {
-		t.Error("negative amount accepted")
+	for _, amount := range []int64{0, -4} {
+		ops := []sim.ScriptOp{{Node: 0, Op: countq.Op{Kind: countq.OpInc, N: amount}}}
+		if _, err := sim.RunScript(sim.Config{Graph: g}, tr, NewCounterBridge, ops); err == nil {
+			t.Errorf("amount %d accepted", amount)
+		}
 	}
 }
 
 func TestAdderUnitAmountsMatchCounting(t *testing.T) {
-	// With all amounts 1, the adder is a counter: Validate must pass.
+	// With all amounts 1, the adder is a counter: the values are exactly
+	// 1..n.
 	g := graph.PerfectMAryTree(2, 4)
 	tr, err := tree.BFSTree(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reqs []AddRequest
+	var reqs []request
 	for v := 0; v < g.N(); v++ {
-		reqs = append(reqs, AddRequest{Node: v, Time: 0, Amount: 1})
+		reqs = append(reqs, request{node: v, amount: 1})
 	}
-	a, err := NewAdder(tr, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.New(sim.Config{Graph: g}, a).Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Validate(); err != nil {
-		t.Error(err)
-	}
-	if err := a.ValidateSums(); err != nil {
+	res := runCombining(t, sim.Config{Graph: g}, tr, reqs)
+	if err := countq.ValidateCounts(res.Values); err != nil {
 		t.Error(err)
 	}
 }
@@ -104,18 +82,16 @@ func TestAdderPropertyPrefixSums(t *testing.T) {
 			b.MustAddEdge(v, parent[v])
 		}
 		g := b.Build()
-		var reqs []AddRequest
+		var reqs []request
 		for k := 0; k < rng.Intn(30); k++ {
-			reqs = append(reqs, AddRequest{Node: rng.Intn(n), Time: rng.Intn(20), Amount: 1 + rng.Intn(9)})
+			reqs = append(reqs, request{node: rng.Intn(n), round: rng.Intn(20), amount: int64(1 + rng.Intn(9))})
 		}
-		a, err := NewAdder(tr, reqs)
+		ops := script(reqs)
+		res, err := sim.RunScript(sim.Config{Graph: g}, tr, NewCounterBridge, ops)
 		if err != nil {
 			return false
 		}
-		if _, err := sim.New(sim.Config{Graph: g}, a).Run(); err != nil {
-			return false
-		}
-		return a.ValidateSums() == nil
+		return sim.VerifyRealTimeOrder(ops, res) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -125,18 +101,10 @@ func TestAdderPropertyPrefixSums(t *testing.T) {
 func TestValidateSumsRejectsCorruption(t *testing.T) {
 	g := graph.Path(3)
 	tr := identityPathTree(t, 3)
-	a, err := NewAdder(tr, []AddRequest{{Node: 1, Time: 0, Amount: 2}, {Node: 2, Time: 0, Amount: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.New(sim.Config{Graph: g}, a).Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.ValidateSums(); err != nil {
-		t.Fatal(err)
-	}
-	a.value[0]++ // corrupt
-	if err := a.ValidateSums(); err == nil {
+	reqs := []request{{node: 1, amount: 2}, {node: 2, amount: 3}}
+	res := runCombining(t, sim.Config{Graph: g}, tr, reqs)
+	res.Values[0]++ // corrupt
+	if err := sim.VerifyRealTimeOrder(script(reqs), res); err == nil {
 		t.Error("corrupted sums accepted")
 	}
 }

@@ -10,14 +10,17 @@ import (
 	"repro/internal/tree"
 )
 
-// The bridge adapter runs the combining-tree counter under the sim bridge,
-// registering it as the `sim-tree-counter` structure — the counting side
-// of the paper's separation made campaign-measurable. Where sim-counter
-// ships one request per operation to the root (the star hub serializes all
-// n-1 leaves), the combining tree batches: each node merges its own
-// pending operations with its children's combined demands into a single
-// upstream request per round (Raymond-style, one in flight per node), and
-// the root grants whole intervals that split back down in batch order. Under
+// The combining-tree counter, in the long-lived setting where operations
+// arrive over time. This is the package's one combining implementation.
+// sim.RunScript drives it from a fixed schedule (experiments E13 and E16,
+// the golden traces, the property tests); the sim bridge serves it live as
+// the `sim-tree-counter` structure — the counting side of the paper's
+// separation made campaign-measurable. Where sim-counter ships one
+// request per operation to the root (the star hub serializes all n-1
+// leaves), the combining tree batches: each node merges its own pending
+// operations with its children's combined demands into a single upstream
+// request per round (Raymond-style, one in flight per node), and the root
+// grants whole intervals that split back down in batch order. Under
 // bursts the root serves O(children) messages per round regardless of the
 // operation rate — counting's classic escape from the hot spot, which has
 // no queuing analogue (the paper's point). One
@@ -26,11 +29,13 @@ import (
 //
 // prices that batching against the naive baseline under identical hop
 // latency and capacity.
-
-const (
-	kindBridgeUp   = 131 // A = combined amount (child → parent)
-	kindBridgeDown = 132 // A = exclusive start of interval, B = its width
-)
+//
+// An operation with block size N > 1 is a fetch-and-add of N: it is
+// granted the first count of its block, the exclusive prefix sum of the
+// addends served before it plus one. That is distributed addition, the
+// open problem the paper closes with (Fatourou & Herlihy's adding
+// networks, reference [5]); the addends ride along in the combined
+// messages for free.
 
 // counterBridge implements sim.BridgeProtocol with an open-issuance
 // combining tree: the authoritative counter lives at the root; per-node
@@ -56,7 +61,8 @@ type centry struct {
 	amount int
 }
 
-func newCounterBridge(g *graph.Graph, tr *tree.Tree, grants sim.Grants) (sim.BridgeProtocol, error) {
+// NewCounterBridge is the sim.ProtoMaker of the combining-tree counter.
+func NewCounterBridge(g *graph.Graph, tr *tree.Tree, grants sim.Grants) (sim.BridgeProtocol, error) {
 	n := g.N()
 	return &counterBridge{
 		tr:       tr,
@@ -72,9 +78,8 @@ func newCounterBridge(g *graph.Graph, tr *tree.Tree, grants sim.Grants) (sim.Bri
 func (p *counterBridge) Start(*sim.Env, int) {}
 
 // Issue records the operation in its node's accumulating batch; the next
-// Tick flushes it upward (combined with everything else that gathered).
-// Sessions are only assigned to non-root nodes, so the batch always
-// travels at least one hop — the root's counter is never touched directly.
+// Tick flushes it upward (combined with everything else that gathered),
+// or serves it on the spot at the root.
 //
 //countq:hotpath
 func (p *counterBridge) Issue(env *sim.Env, node int, token int, op countq.Op) {
@@ -92,11 +97,11 @@ func (p *counterBridge) Issue(env *sim.Env, node int, token int, op countq.Op) {
 //countq:hotpath
 func (p *counterBridge) Deliver(env *sim.Env, node int, m sim.Message) {
 	switch m.Kind {
-	case kindBridgeUp:
+	case kindUp:
 		p.pending[node] = append(p.pending[node], centry{child: m.From, amount: m.A})
 		p.demand[node] += m.A
 		// Flushed by this round's Tick, so same-round arrivals combine.
-	case kindBridgeDown:
+	case kindDown:
 		p.distribute(env, node, m.A, m.B)
 	default:
 		failBridgeKind(env, m.Kind)
@@ -128,7 +133,7 @@ func (p *counterBridge) Tick(env *sim.Env, node int) {
 	// so its storage backs the next accumulation.
 	p.sent[node], p.pending[node] = p.pending[node], p.sent[node][:0]
 	p.demand[node] = 0
-	env.Send(node, p.tr.Parent(node), sim.Message{Kind: kindBridgeUp, A: amount})
+	env.Send(node, p.tr.Parent(node), sim.Message{Kind: kindUp, A: amount})
 }
 
 // assign walks a batch with the exclusive running sum start, granting
@@ -142,7 +147,7 @@ func (p *counterBridge) assign(env *sim.Env, node, start int, batch []centry) in
 		if e.child == -1 {
 			p.grants.Grant(e.token, int64(running+1))
 		} else {
-			env.Send(node, e.child, sim.Message{Kind: kindBridgeDown, A: running, B: e.amount})
+			env.Send(node, e.child, sim.Message{Kind: kindDown, A: running, B: e.amount})
 		}
 		running += e.amount
 	}
@@ -203,7 +208,7 @@ func init() {
 				HopLat:   o.Duration("hoplat", time.Microsecond),
 				Capacity: o.Int("cap", 0),
 				Pipeline: o.Int("pipeline", 0),
-				Proto:    newCounterBridge,
+				Proto:    NewCounterBridge,
 			}
 			seed := o.Int("seed", 1)
 			if jitter := o.Int("jitter", 0); jitter > 0 {

@@ -5,42 +5,63 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/countq"
 	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
 
-func runCombining(t *testing.T, g *graph.Graph, tr *tree.Tree, reqs []Request) *Combining {
+// request is one long-lived counting operation: node adds amount at round.
+type request struct {
+	node, round int
+	amount      int64
+}
+
+// script turns requests into counting ops (amount 0 means a single count).
+func script(reqs []request) []sim.ScriptOp {
+	ops := make([]sim.ScriptOp, len(reqs))
+	for i, r := range reqs {
+		n := r.amount
+		if n == 0 {
+			n = 1
+		}
+		ops[i] = sim.ScriptOp{Node: r.node, Round: r.round, Op: countq.Op{Kind: countq.OpInc, N: n}}
+	}
+	return ops
+}
+
+// runCombining runs the scripted combining tree and checks that the
+// granted blocks tile the counts in an order consistent across quiescent
+// points.
+func runCombining(t *testing.T, cfg sim.Config, tr *tree.Tree, reqs []request) *sim.ScriptResult {
 	t.Helper()
-	c, err := NewCombining(tr, reqs)
+	ops := script(reqs)
+	res, err := sim.RunScript(cfg, tr, NewCounterBridge, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.New(sim.Config{Graph: g}, c).Run(); err != nil {
+	if err := sim.VerifyRealTimeOrder(ops, res); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return c
+	return res
 }
 
 func TestCombiningSingleOpAtRoot(t *testing.T) {
 	g := graph.Path(4)
 	tr := identityPathTree(t, 4)
-	c := runCombining(t, g, tr, []Request{{Node: 0, Time: 0}})
-	if c.CountOf(0) != 1 || c.Latency(0) != 0 {
-		t.Errorf("root op: count=%d latency=%d", c.CountOf(0), c.Latency(0))
+	res := runCombining(t, sim.Config{Graph: g}, tr, []request{{node: 0}})
+	if res.Values[0] != 1 || res.Rounds[0] != 0 {
+		t.Errorf("root op: count=%d latency=%d", res.Values[0], res.Rounds[0])
 	}
 }
 
 func TestCombiningSingleOpAtLeaf(t *testing.T) {
 	g := graph.Path(5)
 	tr := identityPathTree(t, 5)
-	c := runCombining(t, g, tr, []Request{{Node: 4, Time: 0}})
+	res := runCombining(t, sim.Config{Graph: g}, tr, []request{{node: 4}})
 	// Round trip to the root: 4 up + 4 down.
-	if c.Latency(0) != 8 {
-		t.Errorf("leaf latency = %d, want 8", c.Latency(0))
+	if res.Rounds[0] != 8 {
+		t.Errorf("leaf latency = %d, want 8", res.Rounds[0])
 	}
 }
 
@@ -48,27 +69,48 @@ func TestCombiningBurstCombines(t *testing.T) {
 	// All ops at one leaf in one round: they travel as ONE message pair.
 	g := graph.Path(5)
 	tr := identityPathTree(t, 5)
-	reqs := []Request{{4, 0}, {4, 0}, {4, 0}, {4, 0}}
-	c, err := NewCombining(tr, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := sim.New(sim.Config{Graph: g}, c).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	res := runCombining(t, sim.Config{Graph: g}, tr, []request{{node: 4}, {node: 4}, {node: 4}, {node: 4}})
 	// 4 hops up + 4 hops down = 8 messages for all four ops together.
-	if stats.MessagesSent != 8 {
-		t.Errorf("messages = %d, want 8 (combining)", stats.MessagesSent)
+	if res.Stats.MessagesSent != 8 {
+		t.Errorf("messages = %d, want 8 (combining)", res.Stats.MessagesSent)
 	}
 	// Counts arrive in issue order at the leaf.
 	for op := 0; op < 4; op++ {
-		if c.CountOf(op) != op+1 {
-			t.Errorf("count(op%d) = %d, want %d", op, c.CountOf(op), op+1)
+		if res.Values[op] != int64(op+1) {
+			t.Errorf("count(op%d) = %d, want %d", op, res.Values[op], op+1)
 		}
+	}
+}
+
+// Random trees, random amounts and random schedules must always yield
+// blocks that tile the counts in an order preserved across quiescent
+// points.
+func TestCombiningPropertyValidCounts(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 3 + rng.Intn(30)
+		b := graph.NewBuilder("rt", n)
+		for v := 1; v < n; v++ {
+			b.MustAddEdge(v, rng.Intn(v))
+		}
+		g := b.Build()
+		tr, err := tree.BFSTree(g, rng.Intn(n))
+		if err != nil {
+			return false
+		}
+		var reqs []request
+		for k := 0; k < rng.Intn(40); k++ {
+			reqs = append(reqs, request{rng.Intn(n), rng.Intn(25), int64(rng.Intn(4))})
+		}
+		ops := script(reqs)
+		res, err := sim.RunScript(sim.Config{Graph: g}, tr, NewCounterBridge, ops)
+		if err != nil {
+			return false
+		}
+		return sim.VerifyRealTimeOrder(ops, res) == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -77,14 +119,13 @@ func TestCombiningPipelinesAcrossBatches(t *testing.T) {
 	// served (flush on grant return).
 	g := graph.Path(6)
 	tr := identityPathTree(t, 6)
-	var reqs []Request
+	var reqs []request
 	for wave := 0; wave < 4; wave++ {
 		for k := 0; k < 3; k++ {
-			reqs = append(reqs, Request{Node: 5, Time: wave * 2})
+			reqs = append(reqs, request{node: 5, round: wave * 2})
 		}
 	}
-	c := runCombining(t, g, tr, reqs)
-	if c.TotalLatency() <= 0 {
+	if res := runCombining(t, sim.Config{Graph: g}, tr, reqs); res.TotalLatency <= 0 {
 		t.Error("no latency recorded")
 	}
 }
@@ -95,55 +136,24 @@ func TestCombiningMultiNodeAllTimeZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reqs []Request
+	var reqs []request
 	for v := 0; v < g.N(); v++ {
-		reqs = append(reqs, Request{Node: v, Time: 0})
+		reqs = append(reqs, request{node: v})
 	}
-	c := runCombining(t, g, tr, reqs)
-	if c.TotalLatency() <= 0 {
+	if res := runCombining(t, sim.Config{Graph: g}, tr, reqs); res.TotalLatency <= 0 {
 		t.Error("no latency")
 	}
 }
 
 func TestCombiningValidation(t *testing.T) {
+	g := graph.Path(4)
 	tr := identityPathTree(t, 4)
-	if _, err := NewCombining(tr, []Request{{Node: 7, Time: 0}}); err == nil {
+	cfg := sim.Config{Graph: g}
+	if _, err := sim.RunScript(cfg, tr, NewCounterBridge, script([]request{{node: 7}})); err == nil {
 		t.Error("bad node accepted")
 	}
-	if _, err := NewCombining(tr, []Request{{Node: 1, Time: -1}}); err == nil {
+	if _, err := sim.RunScript(cfg, tr, NewCounterBridge, script([]request{{node: 1, round: -1}})); err == nil {
 		t.Error("negative time accepted")
-	}
-}
-
-func TestCombiningPropertyValidCounts(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 3 + rng.Intn(30)
-		parent := make([]int, n)
-		for v := 1; v < n; v++ {
-			parent[v] = rng.Intn(v)
-		}
-		tr := tree.MustFromParents(0, parent)
-		b := graph.NewBuilder("rt", n)
-		for v := 1; v < n; v++ {
-			b.MustAddEdge(v, parent[v])
-		}
-		g := b.Build()
-		var reqs []Request
-		for k := 0; k < rng.Intn(40); k++ {
-			reqs = append(reqs, Request{Node: rng.Intn(n), Time: rng.Intn(25)})
-		}
-		c, err := NewCombining(tr, reqs)
-		if err != nil {
-			return false
-		}
-		if _, err := sim.New(sim.Config{Graph: g}, c).Run(); err != nil {
-			return false
-		}
-		return c.Validate() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -154,19 +164,9 @@ func TestCombiningUnderJitter(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
-	var reqs []Request
+	var reqs []request
 	for k := 0; k < 25; k++ {
-		reqs = append(reqs, Request{Node: rng.Intn(16), Time: rng.Intn(20)})
+		reqs = append(reqs, request{node: rng.Intn(16), round: rng.Intn(20)})
 	}
-	c, err := NewCombining(tr, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sim.Config{Graph: g, Delay: sim.JitterDelay{Seed: 8, Max: 4}}
-	if _, err := sim.New(cfg, c).Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(); err != nil {
-		t.Error(err)
-	}
+	runCombining(t, sim.Config{Graph: g, Delay: sim.JitterDelay{Seed: 8, Max: 4}}, tr, reqs)
 }

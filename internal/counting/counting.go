@@ -1,7 +1,8 @@
 // Package counting implements distributed counting protocols on the
-// synchronous network simulator: a central counter, an aggregating
-// spanning-tree counter, and a bitonic counting network (Aspnes, Herlihy,
-// Shavit) embedded on the graph.
+// synchronous network simulator: an aggregating spanning-tree counter and
+// counting networks (bitonic, after Aspnes, Herlihy and Shavit, and
+// periodic) embedded on the graph, plus the long-lived combining-tree
+// counter.
 //
 // In distributed counting, a set R of processors issue operations at time
 // zero and the counts received must be exactly {1, …, |R|} (Section 2.2 of
@@ -9,9 +10,24 @@
 // which the issuing processor receives its count; experiments compare the
 // total delay of these protocols against the paper's lower bounds
 // (Theorems 3.5 and 3.6).
+//
+// The one-shot protocols are sim.Protocols run through Run. The
+// combining tree is NewCounterBridge, a sim.BridgeProtocol: sim.RunScript
+// drives it from a fixed schedule of operations arriving over time, and
+// the sim bridge serves it live as `sim-tree-counter`. The central counter
+// baseline is sim.NewCentralCounter.
 package counting
 
 import "fmt"
+
+// Message kinds of the routed protocols in this package; the golden traces
+// record them, so the values are fixed.
+const (
+	kindGrant = 2 // A = origin, B = count
+	kindUp    = 3 // A = subtree request count, or combined amount
+	kindDown  = 4 // A = first rank for the receiving subtree, or interval start (B = width)
+	kindToken = 5 // A = origin, B = layer, C = wire
+)
 
 // Results is the read-side of a finished counting protocol run.
 type Results interface {
@@ -78,15 +94,4 @@ func MaxDelay(r Results) int {
 		}
 	}
 	return max
-}
-
-// countRequests is a helper shared by the protocol constructors.
-func countRequests(requests []bool) int {
-	n := 0
-	for _, b := range requests {
-		if b {
-			n++
-		}
-	}
-	return n
 }

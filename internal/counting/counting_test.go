@@ -5,7 +5,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/countq"
 	"repro/internal/graph"
+	"repro/internal/sim"
 	"repro/internal/tree"
 )
 
@@ -30,27 +32,39 @@ func identityPathTree(t *testing.T, n int) *tree.Tree {
 	return tr
 }
 
+// runCentral runs the central counter with one time-zero op per
+// requesting node (in node order) and validates the counts.
+func runCentral(g *graph.Graph, tr *tree.Tree, req []bool) (*sim.ScriptResult, error) {
+	var ops []sim.ScriptOp
+	for v, r := range req {
+		if r {
+			ops = append(ops, sim.ScriptOp{Node: v, Op: countq.Op{Kind: countq.OpInc, N: 1}})
+		}
+	}
+	res, err := sim.RunScript(sim.Config{Graph: g}, tr, sim.NewCentralCounter, ops)
+	if err != nil {
+		return nil, err
+	}
+	return res, sim.VerifyRealTimeOrder(ops, res)
+}
+
 func TestCentralAllOnPath(t *testing.T) {
 	n := 8
 	g := graph.Path(n)
 	tr := identityPathTree(t, n)
-	c, err := NewCentral(tr, reqAll(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(g, c, 1)
+	res, err := runCentral(g, tr, reqAll(n))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Root (node 0) counts instantly.
-	if c.Count(0) != 1 || c.Delay(0) != 0 {
-		t.Errorf("root: count=%d delay=%d", c.Count(0), c.Delay(0))
+	if res.Values[0] != 1 || res.Rounds[0] != 0 {
+		t.Errorf("root: count=%d delay=%d", res.Values[0], res.Rounds[0])
 	}
 	// Node 1's request arrives first (closest) and gets count 2.
-	if c.Count(1) != 2 {
-		t.Errorf("node 1 count = %d, want 2", c.Count(1))
+	if res.Values[1] != 2 {
+		t.Errorf("node 1 count = %d, want 2", res.Values[1])
 	}
-	if res.TotalDelay <= 0 {
+	if res.TotalLatency <= 0 {
 		t.Error("no delay recorded")
 	}
 }
@@ -65,22 +79,18 @@ func TestCentralStarQuadratic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCentral(tr, reqAll(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(g, c, 1)
+	res, err := runCentral(g, tr, reqAll(n))
 	if err != nil {
 		t.Fatal(err)
 	}
 	k := n - 1 // leaf requests
 	// The i-th served leaf (1-based) is granted at round i+1... plus the
 	// grant leaves the hub one per round: lower bound (k²/2) on total.
-	if res.TotalDelay < k*k/2 {
-		t.Errorf("star central total = %d, want ≥ %d", res.TotalDelay, k*k/2)
+	if res.TotalLatency < k*k/2 {
+		t.Errorf("star central total = %d, want ≥ %d", res.TotalLatency, k*k/2)
 	}
-	if res.TotalDelay > 3*k*k {
-		t.Errorf("star central total = %d, unexpectedly high", res.TotalDelay)
+	if res.TotalLatency > 3*k*k {
+		t.Errorf("star central total = %d, unexpectedly high", res.TotalLatency)
 	}
 }
 
@@ -264,11 +274,7 @@ func TestAllProtocolsValidProperty(t *testing.T) {
 		for i := range req {
 			req[i] = rng.Intn(2) == 0
 		}
-		cen, err := NewCentral(tr, req)
-		if err != nil {
-			return false
-		}
-		if _, err := Run(g, cen, 1); err != nil {
+		if _, err := runCentral(g, tr, req); err != nil {
 			return false
 		}
 		tc, err := NewTreeCount(tr, req)
@@ -299,11 +305,7 @@ func TestTreeCountBeatsCentralOnPath(t *testing.T) {
 	n := 64
 	g := graph.Path(n)
 	tr := identityPathTree(t, n)
-	cen, err := NewCentral(tr, reqAll(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cenRes, err := Run(g, cen, 1)
+	cenRes, err := runCentral(g, tr, reqAll(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +317,7 @@ func TestTreeCountBeatsCentralOnPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tcRes.TotalDelay >= cenRes.TotalDelay {
-		t.Errorf("tree %d not better than central %d", tcRes.TotalDelay, cenRes.TotalDelay)
+	if tcRes.TotalDelay >= cenRes.TotalLatency {
+		t.Errorf("tree %d not better than central %d", tcRes.TotalDelay, cenRes.TotalLatency)
 	}
 }

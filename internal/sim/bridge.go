@@ -339,15 +339,18 @@ func NewBridge(cfg BridgeConfig) (*Bridge, error) {
 		pumpExit: make(chan struct{}),
 		leaves:   leaves,
 	}
+	mk := cfg.Proto
+	switch {
+	case mk != nil:
+	case cfg.Queue:
+		mk = NewCentralQueue
+	default:
+		mk = NewCentralCounter
+	}
 	table := &grantTable{}
-	var bp BridgeProtocol
-	if cfg.Proto != nil {
-		bp, err = cfg.Proto(g, tr, table)
-		if err != nil {
-			return nil, fmt.Errorf("sim: bridge protocol: %w", err)
-		}
-	} else {
-		bp = newCentralProto(tr, cfg.Queue, table)
+	bp, err := mk(g, tr, table)
+	if err != nil {
+		return nil, fmt.Errorf("sim: bridge protocol: %w", err)
 	}
 	var netp Protocol = bridgeNetProto{bp}
 	if t, ok := bp.(BridgeTicker); ok {

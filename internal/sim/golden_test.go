@@ -8,7 +8,9 @@ package sim_test
 // (arrivals map + per-round sort.Slice), so they pin the exact delivery
 // order the timing-wheel engine must reproduce: same per-link FIFO, same
 // global seq tie-breaking, same Stats — including under non-unit delay
-// models, where the FIFO clamp interacts with the wheel.
+// models, where the FIFO clamp interacts with the wheel. The central,
+// long-lived arrow and combining goldens run the bridge protocols through
+// sim.RunScript, so they pin the same code the bridge serves live.
 //
 // Regenerate with: go test ./internal/sim -run TestGoldenTraces -update
 // (only legitimate after an intentional, reviewed semantics change).
@@ -21,6 +23,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/countq"
 	"repro/internal/arrow"
 	"repro/internal/counting"
 	"repro/internal/graph"
@@ -30,7 +33,7 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
 
-// tracer wraps a Protocol and records every delivery in execution order.
+// tracer wraps a one-shot Protocol and records every delivery in execution order.
 type tracer struct {
 	inner sim.Protocol
 	buf   *bytes.Buffer
@@ -39,39 +42,72 @@ type tracer struct {
 func (t *tracer) Start(env *sim.Env, node int) { t.inner.Start(env, node) }
 
 func (t *tracer) Deliver(env *sim.Env, node int, m sim.Message) {
-	fmt.Fprintf(t.buf, "r=%d node=%d from=%d to=%d sent=%d kind=%d a=%d b=%d c=%d\n",
-		env.Round(), node, m.From, m.To, m.SentAt(), m.Kind, m.A, m.B, m.C)
+	traceDelivery(t.buf, env, node, m)
 	t.inner.Deliver(env, node, m)
 }
 
-// tracerTS additionally forwards the Ticker and Scheduler extensions, for
-// long-lived protocols that inject work over time.
-type tracerTS struct{ tracer }
+// scriptTracer wraps a BridgeProtocol and records every delivery in
+// execution order, for the protocols run through sim.RunScript.
+type scriptTracer struct {
+	inner sim.BridgeProtocol
+	buf   *bytes.Buffer
+}
 
-func (t *tracerTS) Tick(env *sim.Env, node int) { t.inner.(sim.Ticker).Tick(env, node) }
-func (t *tracerTS) PendingUntil() int           { return t.inner.(sim.Scheduler).PendingUntil() }
+func (t *scriptTracer) Start(env *sim.Env, node int) { t.inner.Start(env, node) }
 
-// runTraced executes cfg's protocol under the tracer and appends the final
-// stats plus the protocol-specific result summary.
-func runTraced(t *testing.T, cfg sim.Config, proto sim.Protocol, results func(buf *bytes.Buffer)) []byte {
+func (t *scriptTracer) Issue(env *sim.Env, node, token int, op countq.Op) {
+	t.inner.Issue(env, node, token, op)
+}
+
+func (t *scriptTracer) Deliver(env *sim.Env, node int, m sim.Message) {
+	traceDelivery(t.buf, env, node, m)
+	t.inner.Deliver(env, node, m)
+}
+
+func (t *scriptTracer) Tick(env *sim.Env, node int) {
+	if tk, ok := t.inner.(sim.BridgeTicker); ok {
+		tk.Tick(env, node)
+	}
+}
+
+func traceDelivery(buf *bytes.Buffer, env *sim.Env, node int, m sim.Message) {
+	fmt.Fprintf(buf, "r=%d node=%d from=%d to=%d sent=%d kind=%d a=%d b=%d c=%d\n",
+		env.Round(), node, m.From, m.To, m.SentAt(), m.Kind, m.A, m.B, m.C)
+}
+
+func traceStats(buf *bytes.Buffer, stats sim.Stats) {
+	fmt.Fprintf(buf, "stats rounds=%d sent=%d inbox=%d outbox=%d recv=%v\n",
+		stats.Rounds, stats.MessagesSent, stats.MaxInboxBacklog, stats.MaxOutboxBacklog, stats.Received)
+}
+
+// runScriptTraced runs ops through mk under the tracer and appends the
+// final stats plus the per-op result summary rendered by results.
+func runScriptTraced(t *testing.T, cfg sim.Config, mk sim.ProtoMaker, ops []sim.ScriptOp, results func(buf *bytes.Buffer, res *sim.ScriptResult)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	tr := &tracer{inner: proto, buf: &buf}
-	var wrapped sim.Protocol = tr
-	_, isTicker := proto.(sim.Ticker)
-	_, isSched := proto.(sim.Scheduler)
-	if isTicker && isSched {
-		wrapped = &tracerTS{tracer: *tr}
-	} else if isTicker || isSched {
-		t.Fatalf("tracer supports Ticker+Scheduler together only; got ticker=%v scheduler=%v", isTicker, isSched)
+	traced := func(g *graph.Graph, tr *tree.Tree, grants sim.Grants) (sim.BridgeProtocol, error) {
+		p, err := mk(g, tr, grants)
+		return &scriptTracer{inner: p, buf: &buf}, err
 	}
-	nw := sim.New(cfg, wrapped)
-	stats, err := nw.Run()
+	res, err := sim.RunScript(cfg, mustBFS(t, cfg.Graph), traced, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(&buf, "stats rounds=%d sent=%d inbox=%d outbox=%d recv=%v\n",
-		stats.Rounds, stats.MessagesSent, stats.MaxInboxBacklog, stats.MaxOutboxBacklog, stats.Received)
+	traceStats(&buf, res.Stats)
+	results(&buf, res)
+	return buf.Bytes()
+}
+
+// runTraced executes cfg's one-shot protocol under the tracer and
+// appends the final stats plus the protocol-specific result summary.
+func runTraced(t *testing.T, cfg sim.Config, proto sim.Protocol, results func(buf *bytes.Buffer)) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	stats, err := sim.New(cfg, &tracer{inner: proto, buf: &buf}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	traceStats(&buf, stats)
 	results(&buf)
 	return buf.Bytes()
 }
@@ -103,16 +139,15 @@ func TestGoldenTraces(t *testing.T) {
 	mesh16 := func() *graph.Graph { return graph.Mesh(4, 4) }
 
 	centralRun := func(t *testing.T, g *graph.Graph, cfg sim.Config) []byte {
-		tr := mustBFS(t, g)
-		p, err := counting.NewCentral(tr, allRequests(g.N()))
-		if err != nil {
-			t.Fatal(err)
+		ops := make([]sim.ScriptOp, g.N())
+		for v := range ops {
+			ops[v] = sim.ScriptOp{Node: v, Op: countq.Op{Kind: countq.OpInc, N: 1}}
 		}
 		cfg.Graph = g
 		cfg.TrackPerNode = true
-		return runTraced(t, cfg, p, func(buf *bytes.Buffer) {
-			for v := 0; v < g.N(); v++ {
-				fmt.Fprintf(buf, "count[%d]=%d delay=%d\n", v, p.Count(v), p.Delay(v))
+		return runScriptTraced(t, cfg, sim.NewCentralCounter, ops, func(buf *bytes.Buffer, res *sim.ScriptResult) {
+			for v := range ops {
+				fmt.Fprintf(buf, "count[%d]=%d delay=%d\n", v, res.Values[v], res.Rounds[v])
 			}
 		})
 	}
@@ -145,12 +180,12 @@ func TestGoldenTraces(t *testing.T) {
 			}
 		})
 	}
-	staggered := func(n, ops int) []arrow.Request {
-		reqs := make([]arrow.Request, ops)
-		for i := range reqs {
-			reqs[i] = arrow.Request{Node: (i*3 + 1) % n, Time: i / 2}
+	staggered := func(n, ops int) []sim.ScriptOp {
+		script := make([]sim.ScriptOp, ops)
+		for i := range script {
+			script[i] = sim.ScriptOp{Node: (i*3 + 1) % n, Round: i / 2, Op: countq.Op{Kind: countq.OpEnqueue, ID: int64(i)}}
 		}
-		return reqs
+		return script
 	}
 
 	specs := []spec{
@@ -177,18 +212,13 @@ func TestGoldenTraces(t *testing.T) {
 			return arrowRun(t, mesh9(), sim.Config{Delay: sim.JitterDelay{Seed: 11, Max: 3}})
 		}},
 		{"arrowll-path8-jitter2", func(t *testing.T) []byte {
-			g := graph.Path(8)
-			tr := mustBFS(t, g)
-			p, err := arrow.NewLongLived(tr, 0, staggered(8, 20))
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := sim.Config{Graph: g, TrackPerNode: true, Delay: sim.JitterDelay{Seed: 5, Max: 2}}
-			return runTraced(t, cfg, p, func(buf *bytes.Buffer) {
-				for op := 0; op < 20; op++ {
-					fmt.Fprintf(buf, "pred[%d]=%d done=%d\n", op, p.Pred(op), p.CompletedAt(op))
+			ops := staggered(8, 20)
+			cfg := sim.Config{Graph: graph.Path(8), TrackPerNode: true, Delay: sim.JitterDelay{Seed: 5, Max: 2}}
+			return runScriptTraced(t, cfg, arrow.NewQueueBridge, ops, func(buf *bytes.Buffer, res *sim.ScriptResult) {
+				for op := range ops {
+					fmt.Fprintf(buf, "pred[%d]=%d done=%d\n", op, res.Values[op], res.Rounds[op])
 				}
-				fmt.Fprintf(buf, "rt-ok=%v\n", p.VerifyRealTimeOrder() == nil)
+				fmt.Fprintf(buf, "rt-ok=%v\n", sim.VerifyRealTimeOrder(ops, res) == nil)
 			})
 		}},
 		{"tree-mesh16-unit", func(t *testing.T) []byte {
@@ -198,20 +228,14 @@ func TestGoldenTraces(t *testing.T) {
 			return treeRun(t, mesh16(), sim.Config{Delay: sim.JitterDelay{Seed: 3, Max: 5}})
 		}},
 		{"combining-star9-jitter3", func(t *testing.T) []byte {
-			g := star9()
-			tr := mustBFS(t, g)
-			reqs := make([]counting.Request, 24)
-			for i := range reqs {
-				reqs[i] = counting.Request{Node: 1 + (i*5)%8, Time: i / 3}
+			ops := make([]sim.ScriptOp, 24)
+			for i := range ops {
+				ops[i] = sim.ScriptOp{Node: 1 + (i*5)%8, Round: i / 3, Op: countq.Op{Kind: countq.OpInc, N: 1}}
 			}
-			p, err := counting.NewCombining(tr, reqs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := sim.Config{Graph: g, TrackPerNode: true, Delay: sim.JitterDelay{Seed: 13, Max: 3}}
-			return runTraced(t, cfg, p, func(buf *bytes.Buffer) {
-				for op := range reqs {
-					fmt.Fprintf(buf, "value[%d]=%d done=%d\n", op, p.ValueOf(op), p.CompletedAt(op))
+			cfg := sim.Config{Graph: star9(), TrackPerNode: true, Delay: sim.JitterDelay{Seed: 13, Max: 3}}
+			return runScriptTraced(t, cfg, counting.NewCounterBridge, ops, func(buf *bytes.Buffer, res *sim.ScriptResult) {
+				for op := range ops {
+					fmt.Fprintf(buf, "value[%d]=%d done=%d\n", op, res.Values[op], res.Rounds[op])
 				}
 			})
 		}},
