@@ -205,22 +205,56 @@ func BenchmarkBitonicQuiescent(b *testing.B) {
 // --- Shared-memory structures under real parallelism (RunParallel). -------
 // The rosters come from the countq registry (populated by importing
 // internal/shm), so every newly registered implementation is benchmarked
-// without touching this file.
+// without touching this file. Every worker drives its own session, the
+// path the runner measures.
+
+// syncZoo returns the registered structures of kind whose sessions are
+// synchronous (no CapAsync): the shared-memory zoo, without the natively
+// async backends and the sim bridges, which have campaigns of their own.
+func syncZoo(kind countq.Kind) []countq.StructureInfo {
+	var out []countq.StructureInfo
+	for _, info := range countq.Structures() {
+		if info.Kinds.Has(kind) && !info.Caps.Has(countq.CapAsync) {
+			out = append(out, info)
+		}
+	}
+	return out
+}
+
+// benchSessions builds spec and drives it from RunParallel, one session
+// per goroutine; op issues the goroutine's i-th operation.
+func benchSessions(b *testing.B, spec string, kind countq.Kind, op func(ctx context.Context, sess countq.Session, i int64) error) {
+	st, err := countq.NewStructure(spec, kind)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.RunParallel(func(pb *testing.PB) {
+		sess, err := st.NewSession()
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		defer sess.Close()
+		for i := int64(0); pb.Next(); i++ {
+			if err := op(ctx, sess, i); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
+// incOp issues one Inc.
+func incOp(ctx context.Context, sess countq.Session, _ int64) error {
+	_, err := sess.Inc(ctx)
+	return err
+}
 
 func BenchmarkShmCounters(b *testing.B) {
-	for _, info := range countq.Counters() {
-		info := info
-		b.Run(info.Name, func(b *testing.B) {
-			c, err := info.New(countq.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					c.Inc()
-				}
-			})
-		})
+	for _, info := range syncZoo(countq.KindCounter) {
+		name := info.Name
+		b.Run(name, func(b *testing.B) { benchSessions(b, name, countq.KindCounter, incOp) })
 	}
 }
 
@@ -234,20 +268,10 @@ var tunableSpecs = shm.VariantSpecs()
 // BenchmarkShmCounterTunables sweeps the declared tunables of every
 // parameterized counter via the public spec API.
 func BenchmarkShmCounterTunables(b *testing.B) {
-	for _, info := range countq.Counters() {
+	for _, info := range syncZoo(countq.KindCounter) {
 		for _, spec := range tunableSpecs[info.Name] {
 			spec := spec
-			b.Run(spec, func(b *testing.B) {
-				c, err := countq.NewCounter(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						c.Inc()
-					}
-				})
-			})
+			b.Run(spec, func(b *testing.B) { benchSessions(b, spec, countq.KindCounter, incOp) })
 		}
 	}
 }
@@ -260,18 +284,13 @@ func BenchmarkShmCounterBatch(b *testing.B) {
 		for _, n := range []int64{16, 256} {
 			n := n
 			b.Run(fmt.Sprintf("%s/n%d", name, n), func(b *testing.B) {
-				c, err := countq.NewCounter(name)
-				if err != nil {
-					b.Fatal(err)
-				}
-				bi, ok := c.(countq.BatchIncrementer)
-				if !ok {
-					b.Fatalf("%s does not implement BatchIncrementer", name)
-				}
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						bi.IncN(n)
+				benchSessions(b, name, countq.KindCounter, func(ctx context.Context, sess countq.Session, _ int64) error {
+					bs, ok := sess.(countq.BatchSession)
+					if !ok {
+						return fmt.Errorf("%s sessions are not BatchSessions", name)
 					}
+					_, err := bs.IncN(ctx, n)
+					return err
 				})
 			})
 		}
@@ -531,19 +550,12 @@ func BenchmarkShmLocks(b *testing.B) {
 }
 
 func BenchmarkShmQueuers(b *testing.B) {
-	for _, info := range countq.Queues() {
-		info := info
-		b.Run(info.Name, func(b *testing.B) {
-			q, err := info.New(countq.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.RunParallel(func(pb *testing.PB) {
-				id := int64(0)
-				for pb.Next() {
-					q.Enqueue(id)
-					id++
-				}
+	for _, info := range syncZoo(countq.KindQueue) {
+		name := info.Name
+		b.Run(name, func(b *testing.B) {
+			benchSessions(b, name, countq.KindQueue, func(ctx context.Context, sess countq.Session, i int64) error {
+				_, err := sess.Enqueue(ctx, i)
+				return err
 			})
 		})
 	}
@@ -612,7 +624,7 @@ func TestBenchJSON(t *testing.T) {
 	steady := countq.Campaign{Name: "counters-steady"}
 	rampC := countq.Campaign{Name: "counters-ramp", Base: countq.Workload{Scenario: ramp, Goroutines: gmax}}
 	batch := countq.Campaign{Name: "counters-batch", Base: countq.Workload{Batch: 64}}
-	for _, info := range countq.Counters() {
+	for _, info := range syncZoo(countq.KindCounter) {
 		if info.Name == "atomic" {
 			steady.Baseline = len(steady.Entries)
 			rampC.Baseline = len(rampC.Entries)
@@ -622,21 +634,19 @@ func TestBenchJSON(t *testing.T) {
 		for _, spec := range tunableSpecs[info.Name] {
 			steady.Entries = append(steady.Entries, countq.Entry{Counter: spec})
 		}
-		if c, err := countq.NewCounter(info.Name); err == nil {
-			if _, ok := c.(countq.BatchIncrementer); ok {
-				// Baseline index keyed to the entry actually appended, so
-				// it cannot silently drift if a structure's capability set
-				// changes.
-				if info.Name == "atomic" {
-					batch.Baseline = len(batch.Entries)
-				}
-				batch.Entries = append(batch.Entries, countq.Entry{Counter: info.Name})
+		if info.Caps.Has(countq.CapBatch) {
+			// Baseline index keyed to the entry actually appended, so it
+			// cannot silently drift if a structure's capability set
+			// changes.
+			if info.Name == "atomic" {
+				batch.Baseline = len(batch.Entries)
 			}
+			batch.Entries = append(batch.Entries, countq.Entry{Counter: info.Name})
 		}
 	}
 	queues := countq.Campaign{Name: "queues-steady"}
 	queuesRamp := countq.Campaign{Name: "queues-ramp", Base: countq.Workload{Scenario: ramp, Goroutines: gmax}}
-	for _, info := range countq.Queues() {
+	for _, info := range syncZoo(countq.KindQueue) {
 		if info.Name == "swap" {
 			queues.Baseline = len(queues.Entries)
 			queuesRamp.Baseline = len(queuesRamp.Entries)
@@ -647,7 +657,7 @@ func TestBenchJSON(t *testing.T) {
 	// The sim bridge's perf surface: the synchronous round trip as the
 	// baseline, against deepening async pipelines — recorded so the file
 	// tracks how much of the coordination round pipelining recovers. The
-	// bridge has no legacy view, so it never appears in the registry
+	// bridge is async-capable, so it never appears in the sync-zoo
 	// campaigns above; this one names it explicitly.
 	async := countq.Campaign{
 		Name: "counters-async",
@@ -662,9 +672,8 @@ func TestBenchJSON(t *testing.T) {
 	// pipelined. Open (uniform) arrivals so the corrected quantiles are
 	// recorded — the async entry's claim is precisely that overlapping
 	// the combining round improves completion-vs-intended tail latency,
-	// which a closed loop cannot see. Like the sim bridge, these register
-	// through RegisterStructure only, so the legacy rosters above never
-	// pick them up.
+	// which a closed loop cannot see. Like the sim bridge, these declare
+	// CapAsync, so the sync-zoo rosters above never pick them up.
 	nativeAsync := countq.Campaign{
 		Name: "counters-native-async",
 		Base: countq.Workload{Arrival: countq.Uniform},

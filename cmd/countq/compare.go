@@ -32,7 +32,7 @@ func parseInterleaved(fs *flag.FlagSet, args []string) ([]string, error) {
 
 // parseEntry turns one positional compare argument into a campaign entry:
 // a structure spec, optionally followed by '@'-separated per-entry
-// overrides ("sharded?shards=8@batch=64@g=4"). Overrides declare
+// overrides ("sim-counter?hoplat=1us@batch=64@g=4"). Overrides declare
 // asymmetric comparisons — batched vs unbatched, pipelined vs synchronous
 // — at equal op budgets; batch=1 forces the single-Inc path even when the
 // campaign base batches.
@@ -82,7 +82,7 @@ func parseEntry(arg, sharedQueue string, asQueue bool) (countq.Entry, error) {
 // one scenario's byte-identical phase sequence and a shared seed, printing
 // per-phase metrics plus delta ratios against the baseline spec. Specs are
 // given as separate arguments or comma-separated in one
-// ("sharded?shards=8,sim-counter?hoplat=1us"); flags may follow them.
+// ("sharded?batch=8,sim-counter?hoplat=1us"); flags may follow them.
 // -sweep fans one base spec into entries instead.
 func compareCampaignCmd(args []string) {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)

@@ -36,15 +36,15 @@ func TestParseInterleaved(t *testing.T) {
 }
 
 func TestParseEntry(t *testing.T) {
-	e, err := parseEntry("sharded?shards=8@batch=64@g=4", "", false)
+	e, err := parseEntry("sim-counter?hoplat=1us@batch=64@g=4", "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := countq.Entry{Counter: "sharded?shards=8", Batch: 64, Goroutines: 4}
+	want := countq.Entry{Counter: "sim-counter?hoplat=1us", Batch: 64, Goroutines: 4}
 	if e != want {
 		t.Errorf("entry = %+v, want %+v", e, want)
 	}
-	if got := e.Label(); got != "sharded?shards=8@g=4@batch=64" {
+	if got := e.Label(); got != "sim-counter?hoplat=1us@g=4@batch=64" {
 		t.Errorf("label = %q", got)
 	}
 	e, err = parseEntry("sim-counter?hoplat=1us@inflight=16", "", false)
@@ -83,7 +83,7 @@ func TestParseEntry(t *testing.T) {
 // columns present in every export format.
 func TestCompareBridgeCampaign(t *testing.T) {
 	entries := []countq.Entry{}
-	for _, part := range strings.Split("sharded?shards=8,sim-counter?hoplat=0", ",") {
+	for _, part := range strings.Split("sharded?batch=8,sim-counter?hoplat=0", ",") {
 		e, err := parseEntry(part, "", false)
 		if err != nil {
 			t.Fatal(err)
@@ -100,7 +100,7 @@ func TestCompareBridgeCampaign(t *testing.T) {
 	var b strings.Builder
 	printComparison(&b, cmp)
 	out := b.String()
-	for _, want := range []string{"sim-counter?hoplat=0", "sharded?shards=8*", "cp50", "cp99", "validated"} {
+	for _, want := range []string{"sim-counter?hoplat=0", "sharded?batch=8*", "cp50", "cp99", "validated"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("comparison table missing %q in:\n%s", want, out)
 		}

@@ -8,10 +8,10 @@
 //	countq scenarios [-v]       # list registered workload scenarios (-v: declared params)
 //	countq run E1 E6 ...        # run selected experiments
 //	countq run all              # run the full suite
-//	countq compare -scenario 'ramp;spike' atomic 'sharded?shards=64'
+//	countq compare -scenario 'ramp;spike' atomic 'sharded?batch=256'
 //	countq benchdiff -noise 0.10 BENCH_old.json BENCH_new.json
 //	countq topo -topo mesh2d -n 256
-//	countq drive -counter 'sharded?shards=4&batch=16' -queue swap -g 8 -ops 100000
+//	countq drive -counter 'sharded?batch=16' -queue swap -g 8 -ops 100000
 //	countq drive -counter sharded -scenario 'ramp?gmax=16' -json
 //	countq drive -counter sharded -sweep batch=16,64,256,1024
 //
@@ -133,27 +133,13 @@ func listCmd(w io.Writer, verbose bool) {
 	for _, s := range core.Experiments() {
 		fmt.Fprintf(w, "  %-4s %-70s %s\n", s.ID, s.Title, s.Ref)
 	}
-	fmt.Fprintln(w, "\ncounters (countq registry):")
-	for _, info := range countq.Counters() {
+	fmt.Fprintln(w, "\nstructures (countq registry; kinds, consistency and session capabilities):")
+	for _, info := range countq.Structures() {
 		consistency := "quiescent"
 		if info.Linearizable {
 			consistency = "linearizable"
 		}
-		fmt.Fprintf(w, "  %-12s %-13s %s\n", info.Name, consistency, info.Summary)
-		if verbose {
-			listParams(w, info.Params)
-		}
-	}
-	fmt.Fprintln(w, "\nqueues (countq registry):")
-	for _, info := range countq.Queues() {
-		fmt.Fprintf(w, "  %-12s %-13s %s\n", info.Name, "linearizable", info.Summary)
-		if verbose {
-			listParams(w, info.Params)
-		}
-	}
-	fmt.Fprintln(w, "\nstructures (countq registry v3; kinds and session capabilities):")
-	for _, info := range countq.Structures() {
-		fmt.Fprintf(w, "  %-12s %-14s caps=%-14s %s\n", info.Name, info.Kinds, info.Caps, info.Summary)
+		fmt.Fprintf(w, "  %-16s %-8s %-13s caps=%-17s %s\n", info.Name, info.Kinds, consistency, info.Caps, info.Summary)
 		if verbose {
 			listParams(w, info.Params)
 		}
@@ -169,14 +155,14 @@ func listParams(w io.Writer, params []countq.ParamInfo) {
 
 // driveCmd runs the workload driver — one steady phase or a registered
 // scenario's phase sequence — over any registered protocol pair, named by
-// spec ("sharded?shards=4&batch=16"). With -sweep it varies one counter
+// spec ("sharded?batch=16"). With -sweep it varies one counter
 // parameter over a list of values and reports one configuration per line.
 // Both paths run through the campaign layer: a plain drive is the
 // 1-structure campaign, a sweep is a campaign whose baseline is the first
 // swept value.
 func driveCmd(args []string) {
 	fs := flag.NewFlagSet("drive", flag.ExitOnError)
-	counter := fs.String("counter", "atomic", "counter spec, e.g. 'sharded?shards=4&batch=16' (empty for a pure queue workload)")
+	counter := fs.String("counter", "atomic", "counter spec, e.g. 'sharded?batch=16' (empty for a pure queue workload)")
 	queue := fs.String("queue", "swap", "queue spec (empty for a pure counter workload)")
 	scenario := fs.String("scenario", "", "scenario spec, e.g. 'ramp?gmax=16' (empty for one steady phase; see countq scenarios)")
 	g := fs.Int("g", 0, "goroutines (0 = GOMAXPROCS); scenarios treat this as the contention ceiling")

@@ -20,15 +20,17 @@ func TestListIsRegistryDriven(t *testing.T) {
 			t.Errorf("list output missing %q", want)
 		}
 	}
-	for _, info := range countq.Counters() {
+	for _, info := range countq.Structures() {
 		if !strings.Contains(out, info.Name) {
-			t.Errorf("registered counter %q not listed", info.Name)
+			t.Errorf("registered %s %q not listed", info.Kinds, info.Name)
 		}
 	}
-	for _, info := range countq.Queues() {
-		if !strings.Contains(out, info.Name) {
-			t.Errorf("registered queue %q not listed", info.Name)
-		}
+	// One section: each structure is listed once per registered kind.
+	if n := strings.Count(out, "\n  mutex "); n != 2 {
+		t.Errorf("mutex listed %d times, want 2 (counter and queue):\n%s", n, out)
+	}
+	if !strings.Contains(out, "quiescent") || !strings.Contains(out, "linearizable") {
+		t.Error("list output has no consistency column")
 	}
 }
 
@@ -38,12 +40,12 @@ func TestListVerboseShowsParams(t *testing.T) {
 	var b strings.Builder
 	listCmd(&b, true)
 	out := b.String()
-	for _, want := range []string{"shards", "batch", "width", "depth", "spin", "leaves", "pending"} {
+	for _, want := range []string{"batch", "width", "depth", "spin", "leaves", "pending", "hoplat"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("verbose list missing param %q", want)
 		}
 	}
-	for _, info := range countq.Counters() {
+	for _, info := range countq.Structures() {
 		for _, p := range info.Params {
 			if !strings.Contains(out, p.Name) || !strings.Contains(out, p.Doc) {
 				t.Errorf("verbose list missing declared param %s.%s", info.Name, p.Name)
@@ -72,13 +74,13 @@ func TestDriveRegistryResolution(t *testing.T) {
 		t.Errorf("ops = %d, want 2000", res.Aggregate.Ops)
 	}
 	res, err = countq.Run(countq.Workload{
-		Counter: "sharded?shards=4&batch=16", Queue: "swap",
+		Counter: "sharded?batch=16", Queue: "swap",
 		Goroutines: 4, Ops: 2000, Mix: 0.5, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Counter != "sharded?shards=4&batch=16" {
+	if res.Counter != "sharded?batch=16" {
 		t.Errorf("result spec = %q", res.Counter)
 	}
 }
@@ -141,14 +143,14 @@ func TestDriveScenarioMetrics(t *testing.T) {
 }
 
 func TestSweepSpecs(t *testing.T) {
-	specs, err := sweepSpecs("sharded?shards=4", "batch=16,64,256")
+	specs, err := sweepSpecs("funnel?width=4", "spin=8,16,32")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []string{
-		"sharded?batch=16&shards=4",
-		"sharded?batch=64&shards=4",
-		"sharded?batch=256&shards=4",
+		"funnel?spin=8&width=4",
+		"funnel?spin=16&width=4",
+		"funnel?spin=32&width=4",
 	}
 	if len(specs) != len(want) {
 		t.Fatalf("specs = %v", specs)
@@ -184,7 +186,7 @@ func TestSweepSpecs(t *testing.T) {
 func TestCompareCampaignTable(t *testing.T) {
 	cmp, err := countq.Campaign{
 		Base:    countq.Workload{Scenario: "ramp?gmax=2;spike?cycles=1", Goroutines: 2, Ops: 8000, Seed: 1},
-		Entries: []countq.Entry{{Counter: "atomic"}, {Counter: "sharded?shards=64"}},
+		Entries: []countq.Entry{{Counter: "atomic"}, {Counter: "sharded?batch=256"}},
 	}.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +196,7 @@ func TestCompareCampaignTable(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"scenario=ramp?gmax=2;spike?cycles=1", "baseline=atomic",
-		"atomic*", "sharded?shards=64", "g=1", "g=2", "spike-1", "calm-1",
+		"atomic*", "sharded?batch=256", "g=1", "g=2", "spike-1", "calm-1",
 		"aggregate", "Δp99", "validated", "fairness is min/max",
 	} {
 		if !strings.Contains(out, want) {

@@ -2,6 +2,7 @@ package countq
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -135,8 +136,8 @@ func parseSegments(spec string) ([]segment, error) {
 			switch {
 			case k == "weight" && !declared[k]:
 				w, err := strconv.ParseFloat(v, 64)
-				if err != nil || w <= 0 {
-					return nil, fmt.Errorf("countq: composition %q: segment %d: weight %q is not a positive number", spec, i+1, v)
+				if err != nil || !(w > 0) || math.IsInf(w, 1) {
+					return nil, fmt.Errorf("countq: composition %q: segment %d: weight %q is not a positive finite number", spec, i+1, v)
 				}
 				seg.weight = w
 			case k == "warmup" && !declared[k]:
@@ -171,6 +172,9 @@ func expandComposition(spec string, base Workload) (*Scenario, error) {
 		weights[i] = g.weight
 		wsum += g.weight
 	}
+	if math.IsInf(wsum, 1) {
+		return nil, fmt.Errorf("countq: composition %q: segment weights overflow (sum %v); scale them down", spec, wsum)
+	}
 	var shares []int
 	if base.Duration <= 0 {
 		if base.Ops < len(segs) {
@@ -184,7 +188,7 @@ func expandComposition(spec string, base Workload) (*Scenario, error) {
 	for i, g := range segs {
 		sub := base
 		if base.Duration > 0 {
-			d := time.Duration(float64(base.Duration) * g.weight / wsum)
+			d := time.Duration(share(float64(base.Duration), g.weight, wsum))
 			if d < 1 {
 				d = 1
 			}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // registerComposeTestScenario registers a one-phase scenario whose phase
@@ -234,6 +235,54 @@ func TestCompositionDurationBudget(t *testing.T) {
 	for _, p := range m.Phases {
 		if p.Ops == 0 {
 			t.Errorf("duration phase %q did no operations", p.Name)
+		}
+	}
+}
+
+// TestCompositionNonFiniteWeights pins the weight validation: an infinite
+// or NaN segment weight, or finite weights whose sum overflows, must fail
+// with a clear error on both budget paths instead of splitting the budget
+// with NaN or infinite shares.
+func TestCompositionNonFiniteWeights(t *testing.T) {
+	for _, tc := range []struct{ spec, want string }{
+		{"steady?weight=Inf;steady", "positive finite"},
+		{"steady?weight=NaN;steady", "positive finite"},
+		{"steady?weight=1e308;steady?weight=1e308", "overflow"},
+	} {
+		for _, base := range []Workload{
+			{Counter: "c", Goroutines: 2, Ops: 4000},
+			{Counter: "c", Goroutines: 2, Duration: 10 * time.Millisecond},
+		} {
+			_, err := ExpandScenario(tc.spec, base)
+			if err == nil {
+				t.Errorf("ExpandScenario(%q, ops=%d dur=%v) accepted", tc.spec, base.Ops, base.Duration)
+				continue
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("ExpandScenario(%q) error %q does not mention %q", tc.spec, err, tc.want)
+			}
+		}
+	}
+	// A huge but finite weight overflows budget×weight; the split still
+	// hands every phase a positive share, ops summing to the budget.
+	const spec = "ramp?gmax=1&weight=1e306;steady?warmup=0"
+	for _, base := range []Workload{
+		{Counter: "c", Goroutines: 2, Ops: 4000},
+		{Counter: "c", Goroutines: 2, Duration: 10 * time.Millisecond},
+	} {
+		sc, err := ExpandScenario(spec, base)
+		if err != nil {
+			t.Fatalf("ExpandScenario(%q): %v", spec, err)
+		}
+		sum := 0
+		for _, p := range sc.Phases {
+			if p.Ops < 0 || p.Duration < 0 || p.Ops+int(p.Duration) == 0 {
+				t.Errorf("%q: phase %q gets ops=%d dur=%v", spec, p.Name, p.Ops, p.Duration)
+			}
+			sum += p.Ops
+		}
+		if base.Ops > 0 && sum != base.Ops {
+			t.Errorf("%q: phase ops sum to %d, want %d", spec, sum, base.Ops)
 		}
 	}
 }

@@ -1,9 +1,8 @@
 // Conformance suite for the session API: every structure registered by
 // the real backends (the shared-memory zoo and the sim bridge) is driven
 // through the session layer — sync, handle, batch and async paths — under
-// the race detector, and its validation outcome is checked against the
-// legacy-interface path where one exists. External test package so it can
-// import the registering packages without a cycle.
+// the race detector. External test package so it can import the
+// registering packages without a cycle.
 package countq_test
 
 import (
@@ -78,11 +77,11 @@ func TestSessionConformance(t *testing.T) {
 	}
 }
 
-// TestSessionMatchesLegacyValidation drives each counter structure twice
-// with the same shape — once through sessions, once through the legacy
-// Counter interface directly — and asserts the two paths reach the same
-// validation verdict. HandleMaker counters exercise their handles on the
-// legacy side, exactly as the pre-session driver did.
+// TestSessionMatchesLegacyValidation drives each counter structure through
+// sessions by hand (not via Run), so the suite checks the session layer
+// itself rather than the driver: concurrent sessions, each closed before
+// the drain, must hand out counts that validate as one gap-free range
+// together with the structure's drained remainder.
 func TestSessionMatchesLegacyValidation(t *testing.T) {
 	const workers, perWorker = 4, 64
 	for _, info := range countq.Structures() {
@@ -92,22 +91,18 @@ func TestSessionMatchesLegacyValidation(t *testing.T) {
 		info := info
 		t.Run(info.Name, func(t *testing.T) {
 			t.Parallel()
-			spec := conformanceSpec(info)
-
-			// Session path, driven by hand (not via Run) so the suite
-			// checks the session layer itself, not just the driver.
-			st, err := countq.NewStructure(spec, countq.KindCounter)
+			st, err := countq.NewStructure(conformanceSpec(info), countq.KindCounter)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer closeIfCloser(st)
-			var mu0 sync.Mutex
-			var sessionCounts []int64
-			var wg0 sync.WaitGroup
+			var mu sync.Mutex
+			var counts []int64
+			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
-				wg0.Add(1)
+				wg.Add(1)
 				go func() {
-					defer wg0.Done()
+					defer wg.Done()
 					sess, err := st.NewSession()
 					if err != nil {
 						t.Error(err)
@@ -123,61 +118,15 @@ func TestSessionMatchesLegacyValidation(t *testing.T) {
 						}
 						local = append(local, v)
 					}
-					mu0.Lock()
-					sessionCounts = append(sessionCounts, local...)
-					mu0.Unlock()
-				}()
-			}
-			wg0.Wait()
-			sessionCounts = append(sessionCounts, countq.DrainCounts(st)...)
-			sessionErr := countq.ValidateCounts(sessionCounts)
-
-			// Legacy path, when the structure has a synchronous view.
-			legacy, err := countq.NewCounter(spec)
-			if err != nil {
-				// Native session structures have no legacy path; the
-				// session verdict stands alone but must be clean.
-				if sessionErr != nil {
-					t.Errorf("session path failed validation: %v", sessionErr)
-				}
-				return
-			}
-			var legacyCounts []int64
-			var mu sync.Mutex
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					inc := legacy.Inc
-					var closeHandle func()
-					if hm, ok := legacy.(countq.HandleMaker); ok {
-						h := hm.NewHandle()
-						inc, closeHandle = h.Inc, h.Close
-					}
-					local := make([]int64, 0, perWorker)
-					for i := 0; i < perWorker; i++ {
-						local = append(local, inc())
-					}
-					if closeHandle != nil {
-						closeHandle()
-					}
 					mu.Lock()
-					legacyCounts = append(legacyCounts, local...)
+					counts = append(counts, local...)
 					mu.Unlock()
 				}()
 			}
 			wg.Wait()
-			if d, ok := legacy.(countq.Drainer); ok {
-				legacyCounts = append(legacyCounts, d.Drain()...)
-			}
-			legacyErr := countq.ValidateCounts(legacyCounts)
-
-			if (sessionErr == nil) != (legacyErr == nil) {
-				t.Errorf("validation verdicts diverge: session %v, legacy %v", sessionErr, legacyErr)
-			}
-			if sessionErr != nil {
-				t.Errorf("session path failed validation: %v", sessionErr)
+			counts = append(counts, countq.DrainCounts(st)...)
+			if err := countq.ValidateCounts(counts); err != nil {
+				t.Errorf("session path failed validation: %v", err)
 			}
 		})
 	}
@@ -189,12 +138,12 @@ func closeIfCloser(st countq.Structure) {
 	}
 }
 
-// TestSessionCloseSurrendersLeases pins the handle-lifting contract: a
-// HandleMaker counter driven through sessions must, after every session is
-// closed, drain to a gap-free range — the per-session lease remainder is
-// surrendered by Session.Close exactly as CounterHandle.Close did.
+// TestSessionCloseSurrendersLeases pins the lease contract: a counter
+// whose sessions lease count blocks must, after every session is closed,
+// drain to a gap-free range — Session.Close surrenders the per-session
+// lease remainder.
 func TestSessionCloseSurrendersLeases(t *testing.T) {
-	st, err := countq.NewStructure("sharded?shards=4&batch=16", countq.KindCounter)
+	st, err := countq.NewStructure("sharded?batch=16", countq.KindCounter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,34 +267,45 @@ func TestSessionKindGating(t *testing.T) {
 }
 
 // TestRegistryV3Catalogue pins the registry-wide invariants the CLI and
-// the benches rely on: every legacy listing entry appears among the
-// structures with the right kind, declared caps match the probeable
-// capability interfaces, and the sim bridge is registered async-capable.
+// the benches rely on: every structure's declared caps are exactly the
+// capability interfaces a fresh session implements (BatchSession checked
+// on counters), every queue reports
+// linearizable, and the sim bridge is registered async-capable.
 func TestRegistryV3Catalogue(t *testing.T) {
-	for _, ci := range countq.Counters() {
-		info, ok := countq.LookupStructure(ci.Name, countq.KindCounter)
-		if !ok {
-			t.Errorf("legacy counter %q missing from the structure registry", ci.Name)
-			continue
+	for _, info := range countq.Structures() {
+		kind := countq.KindCounter
+		if !info.Kinds.Has(kind) {
+			kind = countq.KindQueue
 		}
-		c, err := ci.New(countq.Options{})
+		if kind == countq.KindQueue && !info.Linearizable {
+			t.Errorf("queue %s does not report Linearizable", info.Name)
+		}
+		st, err := countq.NewStructure(conformanceSpec(info), kind)
 		if err != nil {
-			t.Errorf("%s: %v", ci.Name, err)
+			t.Errorf("%s: %v", info.Name, err)
 			continue
 		}
-		_, isBatch := c.(countq.BatchIncrementer)
+		sess, err := st.NewSession()
+		if err != nil {
+			t.Errorf("%s: %v", info.Name, err)
+			closeIfCloser(st)
+			continue
+		}
+		// IncN is a counting operation: a queue-only structure whose session
+		// type is shared with a counter may carry it, but never declares it.
+		_, isBatch := sess.(countq.BatchSession)
+		if kind == countq.KindQueue {
+			isBatch = false
+		}
 		if info.Caps.Has(countq.CapBatch) != isBatch {
-			t.Errorf("%s: CapBatch=%v but BatchIncrementer=%v", ci.Name, info.Caps.Has(countq.CapBatch), isBatch)
+			t.Errorf("%s %s: CapBatch=%v but BatchSession=%v", info.Kinds, info.Name, info.Caps.Has(countq.CapBatch), isBatch)
 		}
-		_, isHandle := c.(countq.HandleMaker)
-		if info.Caps.Has(countq.CapHandle) != isHandle {
-			t.Errorf("%s: CapHandle=%v but HandleMaker=%v", ci.Name, info.Caps.Has(countq.CapHandle), isHandle)
+		_, isAsync := sess.(countq.AsyncSession)
+		if info.Caps.Has(countq.CapAsync) != isAsync {
+			t.Errorf("%s %s: CapAsync=%v but AsyncSession=%v", info.Kinds, info.Name, info.Caps.Has(countq.CapAsync), isAsync)
 		}
-	}
-	for _, qi := range countq.Queues() {
-		if _, ok := countq.LookupStructure(qi.Name, countq.KindQueue); !ok {
-			t.Errorf("legacy queue %q missing from the structure registry", qi.Name)
-		}
+		sess.Close()
+		closeIfCloser(st)
 	}
 	for _, name := range []string{"sim-counter", "sim-queue"} {
 		kind := countq.KindCounter

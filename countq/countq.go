@@ -2,10 +2,18 @@
 // counting and queuing structures — the two sides of Busch & Tirthapura,
 // "Concurrent counting is harder than queuing".
 //
-// It defines the Counter and Queuer interfaces, a spec-keyed registry of
-// self-registering implementations (the shared-memory structures in
-// internal/shm register themselves on import, in the manner of
-// database/sql drivers), and a phased scenario engine that runs any
+// Every structure is driven the same way: construct it from a spec with
+// NewStructure, give each worker goroutine its own Session, and issue
+// Inc or Enqueue through the session with a context. Sessions of
+// structures that declare the capabilities also serve IncN block grants
+// (BatchSession) and several operations in flight (AsyncSession). The
+// registry behind NewStructure is self-registering: the shared-memory
+// structures in internal/shm and the simulated message-passing protocols
+// in internal/sim register themselves on import, in the manner of
+// database/sql drivers, and Structures lists them with their kinds,
+// consistency, parameters and capabilities.
+//
+// On top of sessions sits a phased scenario engine that runs any
 // registered counter/queuer pair under a chosen operation mix, arrival
 // pattern, goroutine count and ops budget — as one steady phase, or as a
 // named Scenario: a self-registering sequence of Phases that ramps
@@ -20,7 +28,7 @@
 // Structures are constructed from specs: a bare registry name builds the
 // structure at its declared defaults, and a DSN-style parameter list tunes
 // the knobs that control its coordination cost. Every parameter is
-// declared by the implementation (see CounterInfo.Params); unknown keys
+// declared by the implementation (see StructureInfo.Params); unknown keys
 // and mistyped values are rejected, never silently defaulted.
 //
 // Quickstart:
@@ -31,11 +39,13 @@
 //		_ "repro/internal/shm" // register the shared-memory implementations
 //	)
 //
-//	c, err := countq.NewCounter("sharded?shards=4&batch=16")
-//	q, err := countq.NewQueue("swap")
+//	st, err := countq.NewStructure("sharded?batch=16", countq.KindCounter)
+//	sess, err := st.NewSession() // one per worker goroutine
+//	n, err := sess.Inc(ctx)
+//	sess.Close()                 // surrenders the session's unused lease
 //
 //	m, err := countq.Run(countq.Workload{
-//		Counter:    "sharded?shards=4&batch=16",
+//		Counter:    "sharded?batch=16",
 //		Queue:      "swap",
 //		Scenario:   "ramp?gmax=8", // phased: contention doubles 1 → 8
 //		Goroutines: 8,
@@ -58,10 +68,11 @@
 // and the reported numbers belong to the structure under test, not to
 // the harness.
 //
-// Counters may additionally implement two capability interfaces the
-// driver exploits when present: HandleMaker (per-goroutine handles with an
-// uncontended fast path) and BatchIncrementer (IncN block grants — a whole
-// range of counts for one coordination round).
+// Implementations register a Structure constructor with RegisterStructure.
+// A plain synchronous Counter or Queuer — the simplest shared-memory
+// implementation — registers through RegisterCounter / RegisterQueue,
+// which lift it into a Structure (a BatchIncrementer counter's sessions
+// become BatchSessions).
 //
 // Every run is validated: counts — including IncN block grants — must form
 // a gap-free set of distinct values and predecessors must chain into a
@@ -92,40 +103,22 @@ type Queuer interface {
 	Enqueue(id int64) int64
 }
 
-// Drainer is implemented by counters that lease count ranges to internal
-// shards (e.g. the sharded counter). Drain reclaims every leased-but-unused
+// Drainer is implemented by counter structures whose sessions lease count
+// ranges (e.g. the sharded counter). Drain reclaims every leased-but-unused
 // count, so that the counts handed out so far plus the drained remainder
-// form the gap-free range 1..max. Validation harnesses call it before
-// checking the no-gaps property; callers may also use it as a periodic
-// reconciliation point.
+// form the gap-free range 1..max. Validation harnesses call it (through
+// DrainCounts) after every session is closed, before checking the no-gaps
+// property.
 type Drainer interface {
 	Drain() []int64
 }
 
-// CounterHandle is a per-goroutine session with a counter: Inc hands out
-// counts on a fast path that may hold private state (such as an unused
-// lease remainder), and Close surrenders that state back to the shared
-// structure so a subsequent Drain accounts for every leased count. A
-// handle is owned by one goroutine and is not safe for concurrent use;
-// the counter it came from remains safe for concurrent use alongside it.
-type CounterHandle interface {
-	Inc() int64
-	Close()
-}
-
-// HandleMaker is implemented by counters whose uncontended fast path lives
-// in per-goroutine handles (e.g. the sharded counter's per-worker lease).
-// The workload driver gives each worker its own handle when the interface
-// is present, and closes it when the worker finishes.
-type HandleMaker interface {
-	NewHandle() CounterHandle
-}
-
 // BatchIncrementer is implemented by counters that can grant a block of
 // counts in one coordination round — the batching escape hatch the paper's
-// per-operation lower bound does not price. The workload driver uses it
-// when Workload.Batch > 1, and ValidateCountRanges extends the gap-free
-// check to block grants.
+// per-operation lower bound does not price. RegisterCounter lifts it into
+// the BatchSession capability the workload driver uses when
+// Workload.Batch > 1, and ValidateCountRanges extends the gap-free check
+// to block grants.
 type BatchIncrementer interface {
 	// IncN atomically grants the n consecutive counts
 	// first, first+1, …, first+n-1 and returns first. n must be ≥ 1;

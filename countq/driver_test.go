@@ -150,8 +150,8 @@ func TestDriverBatchGrants(t *testing.T) {
 
 func TestDriverHandles(t *testing.T) {
 	registerTestImpls()
-	// A HandleMaker counter serves each worker through its own handle.
-	// Validation passing proves the handles' leases plus Close/Drain close
+	// A CapHandle counter serves each worker through its own session.
+	// Validation passing proves the sessions' leases plus Close/Drain close
 	// the range; the close count proves every worker got (and closed) one.
 	res, err := Run(Workload{Counter: "test-handle", Goroutines: 4, Ops: 1002})
 	if err != nil {
@@ -160,12 +160,12 @@ func TestDriverHandles(t *testing.T) {
 	if res.Aggregate.CounterOps != 1002 {
 		t.Errorf("handle ops = %d, want 1002", res.Aggregate.CounterOps)
 	}
-	c := lastHandleCounter.Load()
+	c := lastHandleStructure.Load()
 	if c == nil {
 		t.Fatal("registry did not construct the test-handle counter")
 	}
 	if got := c.closes.Load(); got != 4 {
-		t.Errorf("handle closes = %d, want 4 (one per goroutine)", got)
+		t.Errorf("session closes = %d, want 4 (one per goroutine)", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package countq
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,10 +30,11 @@ type testBatchCounter struct{ v atomic.Int64 }
 func (c *testBatchCounter) Inc() int64         { return c.v.Add(1) }
 func (c *testBatchCounter) IncN(n int64) int64 { return c.v.Add(n) - n + 1 }
 
-// testHandleCounter implements HandleMaker and Drainer in miniature: each
-// handle leases blocks of testLease counts off the shared high-water mark,
-// Close surrenders the remainder, Drain returns every surrendered count.
-type testHandleCounter struct {
+// testHandleStructure is a native CapHandle structure in miniature: each
+// session leases blocks of testLease counts off the shared high-water
+// mark, Close surrenders the remainder, Drain returns every surrendered
+// count.
+type testHandleStructure struct {
 	next   atomic.Int64
 	closes atomic.Int64
 	mu     sync.Mutex
@@ -41,11 +43,9 @@ type testHandleCounter struct {
 
 const testLease = 4
 
-func (c *testHandleCounter) Inc() int64 { return c.next.Add(1) }
+func (c *testHandleStructure) NewSession() (Session, error) { return &testHandleSession{c: c}, nil }
 
-func (c *testHandleCounter) NewHandle() CounterHandle { return &testHandle{c: c} }
-
-func (c *testHandleCounter) Drain() []int64 {
+func (c *testHandleStructure) Drain() []int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := c.free
@@ -53,22 +53,29 @@ func (c *testHandleCounter) Drain() []int64 {
 	return out
 }
 
-type testHandle struct {
-	c      *testHandleCounter
+type testHandleSession struct {
+	c      *testHandleStructure
 	lo, hi int64 // private lease: [lo, hi) remain
 }
 
-func (h *testHandle) Inc() int64 {
+func (h *testHandleSession) Inc(ctx context.Context) (int64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
 	if h.lo == h.hi {
 		hi := h.c.next.Add(testLease)
 		h.lo, h.hi = hi-testLease+1, hi+1
 	}
 	v := h.lo
 	h.lo++
-	return v
+	return v, nil
 }
 
-func (h *testHandle) Close() {
+func (h *testHandleSession) Enqueue(ctx context.Context, id int64) (int64, error) {
+	return 0, ErrUnsupported
+}
+
+func (h *testHandleSession) Close() error {
 	h.c.closes.Add(1)
 	h.c.mu.Lock()
 	for v := h.lo; v < h.hi; v++ {
@@ -76,11 +83,12 @@ func (h *testHandle) Close() {
 	}
 	h.c.mu.Unlock()
 	h.lo, h.hi = 0, 0
+	return nil
 }
 
-// lastHandleCounter is the most recent test-handle instance the registry
-// constructed, so driver tests can observe handle lifecycle counts.
-var lastHandleCounter atomic.Pointer[testHandleCounter]
+// lastHandleStructure is the most recent test-handle instance the registry
+// constructed, so driver tests can observe session lifecycle counts.
+var lastHandleStructure atomic.Pointer[testHandleStructure]
 
 type testQueue struct {
 	mu   sync.Mutex
@@ -119,11 +127,12 @@ var registerTestImpls = sync.OnceFunc(func() {
 		Name: "test-batch", Summary: "test counter with IncN", Linearizable: true,
 		New: func(Options) (Counter, error) { return &testBatchCounter{}, nil },
 	})
-	RegisterCounter(CounterInfo{
-		Name: "test-handle", Summary: "test counter with per-goroutine handles", Linearizable: false,
-		New: func(Options) (Counter, error) {
-			c := &testHandleCounter{}
-			lastHandleCounter.Store(c)
+	RegisterStructure(StructureInfo{
+		Name: "test-handle", Summary: "test counter with per-session leases", Kinds: KindCounter,
+		Caps: CapHandle,
+		New: func(Options) (Structure, error) {
+			c := &testHandleStructure{}
+			lastHandleStructure.Store(c)
 			return c, nil
 		},
 	})
@@ -133,81 +142,80 @@ var registerTestImpls = sync.OnceFunc(func() {
 	})
 })
 
+// firstOp constructs spec for kind and returns the value of one operation
+// through a fresh session: the first count, or the first predecessor.
+func firstOp(t *testing.T, spec string, kind Kind) (int64, error) {
+	t.Helper()
+	st, err := NewStructure(spec, kind)
+	if err != nil {
+		return 0, err
+	}
+	sess, err := st.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if kind == KindQueue {
+		return sess.Enqueue(context.Background(), 7)
+	}
+	return sess.Inc(context.Background())
+}
+
 func TestRegistryConstructs(t *testing.T) {
 	registerTestImpls()
-	c, err := NewCounter("test-alpha")
-	if err != nil {
-		t.Fatal(err)
+	if got, err := firstOp(t, "test-alpha", KindCounter); err != nil || got != 1 {
+		t.Errorf("first count = %d, %v; want 1", got, err)
 	}
-	if got := c.Inc(); got != 1 {
-		t.Errorf("first count = %d, want 1", got)
-	}
-	q, err := NewQueue("test-queue")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := q.Enqueue(7); got != Head {
-		t.Errorf("first pred = %d, want Head", got)
+	if got, err := firstOp(t, "test-queue", KindQueue); err != nil || got != Head {
+		t.Errorf("first pred = %d, %v; want Head", got, err)
 	}
 	// Each New call must return a fresh instance, not shared state.
-	c2, err := NewCounter("test-alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c2.Inc(); got != 1 {
-		t.Errorf("second instance first count = %d, want 1", got)
+	if got, err := firstOp(t, "test-alpha", KindCounter); err != nil || got != 1 {
+		t.Errorf("second instance first count = %d, %v; want 1", got, err)
 	}
 }
 
 func TestRegistryParameterizedSpecs(t *testing.T) {
 	registerTestImpls()
 	// Parameter reaches the constructor.
-	c, err := NewCounter("test-param?start=100")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Inc(); got != 101 {
-		t.Errorf("parameterized first count = %d, want 101", got)
+	if got, err := firstOp(t, "test-param?start=100", KindCounter); err != nil || got != 101 {
+		t.Errorf("parameterized first count = %d, %v; want 101", got, err)
 	}
 	// Defaults when the spec omits the parameter.
-	c, err = NewCounter("test-param")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Inc(); got != 1 {
-		t.Errorf("default first count = %d, want 1", got)
+	if got, err := firstOp(t, "test-param", KindCounter); err != nil || got != 1 {
+		t.Errorf("default first count = %d, %v; want 1", got, err)
 	}
 	// Unknown keys are rejected, naming the declared set.
-	if _, err := NewCounter("test-param?strat=100"); err == nil {
+	if _, err := NewStructure("test-param?strat=100", KindCounter); err == nil {
 		t.Error("unknown param key accepted")
 	} else if !strings.Contains(err.Error(), "start") {
 		t.Errorf("unknown-key error does not name declared params: %v", err)
 	}
 	// Structures with no declared params reject every key.
-	if _, err := NewCounter("test-alpha?x=1"); err == nil {
+	if _, err := NewStructure("test-alpha?x=1", KindCounter); err == nil {
 		t.Error("param on a param-less counter accepted")
 	}
-	if _, err := NewQueue("test-queue?x=1"); err == nil {
+	if _, err := NewStructure("test-queue?x=1", KindQueue); err == nil {
 		t.Error("param on a param-less queue accepted")
 	}
 	// Mistyped values surface the conversion error.
-	if _, err := NewCounter("test-param?start=banana"); err == nil {
+	if _, err := NewStructure("test-param?start=banana", KindCounter); err == nil {
 		t.Error("non-integer param value accepted")
 	}
 	// Malformed spec strings are rejected at parse time.
-	if _, err := NewCounter("test-param?start"); err == nil {
+	if _, err := NewStructure("test-param?start", KindCounter); err == nil {
 		t.Error("key without value accepted")
 	}
 }
 
 func TestRegistryUnknownName(t *testing.T) {
 	registerTestImpls()
-	if _, err := NewCounter("no-such-counter"); err == nil {
+	if _, err := NewStructure("no-such-counter", KindCounter); err == nil {
 		t.Error("unknown counter accepted")
 	} else if !strings.Contains(err.Error(), "test-alpha") {
 		t.Errorf("error does not name registered alternatives: %v", err)
 	}
-	if _, err := NewQueue("no-such-queue"); err == nil {
+	if _, err := NewStructure("no-such-queue", KindQueue); err == nil {
 		t.Error("unknown queue accepted")
 	} else if !strings.Contains(err.Error(), "test-queue") {
 		t.Errorf("error does not name registered alternatives: %v", err)
@@ -264,7 +272,7 @@ func mustPanic(t *testing.T, what string, f func()) {
 func TestRegistryDeterministicOrder(t *testing.T) {
 	registerTestImpls()
 	for round := 0; round < 5; round++ {
-		names := CounterNames()
+		names := StructureNames(KindCounter)
 		for i := 1; i < len(names); i++ {
 			if names[i-1] >= names[i] {
 				t.Fatalf("counter names not sorted: %v", names)
@@ -273,7 +281,7 @@ func TestRegistryDeterministicOrder(t *testing.T) {
 	}
 	// "test-alpha" sorts before "test-zulu" regardless of registration
 	// order (zulu was registered first).
-	names := CounterNames()
+	names := StructureNames(KindCounter)
 	ai, zi := -1, -1
 	for i, n := range names {
 		switch n {
@@ -286,13 +294,13 @@ func TestRegistryDeterministicOrder(t *testing.T) {
 	if ai < 0 || zi < 0 || ai > zi {
 		t.Errorf("deterministic order violated: %v", names)
 	}
-	infos := Counters()
-	if len(infos) != len(names) {
-		t.Fatalf("Counters/CounterNames disagree: %d vs %d", len(infos), len(names))
-	}
-	for i := range infos {
-		if infos[i].Name != names[i] {
-			t.Errorf("Counters()[%d] = %q, CounterNames()[%d] = %q", i, infos[i].Name, i, names[i])
+	var counters []string
+	for _, info := range Structures() {
+		if info.Kinds.Has(KindCounter) {
+			counters = append(counters, info.Name)
 		}
+	}
+	if strings.Join(counters, ",") != strings.Join(names, ",") {
+		t.Errorf("Structures() counters %v, StructureNames %v", counters, names)
 	}
 }

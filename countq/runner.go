@@ -28,8 +28,9 @@ const opsChunk = 64
 // per-worker fairness.
 //
 // Every operation flows through the session layer: each worker opens one
-// Session per structure and issues Inc/Enqueue through it, so legacy
-// HandleMaker counters get their per-worker fast path automatically.
+// Session per structure and issues Inc/Enqueue through it, so per-session
+// fast paths (such as the sharded counter's private lease) apply
+// automatically.
 // Capabilities are demanded, not hinted: a phase with Batch > 1 requires a
 // CapBatch structure, a phase with Inflight > 1 requires CapAsync, and
 // either fails loudly when the capability is missing.

@@ -225,6 +225,22 @@ func TestScenarioSpecErrors(t *testing.T) {
 	if _, err := ExpandScenario("spike?cycles=0", base); err == nil {
 		t.Error("zero spike cycles accepted")
 	}
+	// NaN slips past ordered comparisons; it must not reach the budget split.
+	if _, err := ExpandScenario("steady?warmup=NaN", base); err == nil {
+		t.Error("NaN warmup fraction accepted")
+	}
+	// Phase counts are bounded before any phase is built.
+	for _, spec := range []string{"spike?cycles=1000000000", "mixshift?steps=1000000000"} {
+		if _, err := ExpandScenario(spec, Workload{Counter: "c", Queue: "q", Duration: time.Millisecond}); err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("%s: err = %v, want a bound error", spec, err)
+		}
+	}
+	// The ramp's doubling stops at gmax without overflowing int.
+	if sc, err := ExpandScenario("ramp?gmax=9223372036854775807", base); err != nil {
+		t.Errorf("ramp to MaxInt64: %v", err)
+	} else if n := len(sc.Phases); n != 64 {
+		t.Errorf("ramp to MaxInt64: %d phases, want 64 (1, 2, …, 2^62, MaxInt64)", n)
+	}
 	// A budget too small to give every phase an op fails at expansion.
 	if _, err := ExpandScenario("mixshift?steps=20", Workload{Counter: "test-alpha", Queue: "test-queue", Ops: 10}); err == nil {
 		t.Error("10-op budget across 20 phases accepted")

@@ -2,6 +2,7 @@ package countq
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -24,7 +25,7 @@ func init() {
 			if err := o.Err(); err != nil {
 				return nil, err
 			}
-			if frac < 0 || frac > 0.9 {
+			if !(frac >= 0 && frac <= 0.9) {
 				return nil, fmt.Errorf("warmup fraction %v outside [0, 0.9]", frac)
 			}
 			if frac == 0 {
@@ -56,16 +57,18 @@ func init() {
 			}
 			var phases []Phase
 			var weights []float64
-			for g := 1; ; g *= 2 {
-				if g > gmax {
-					g = gmax
-				}
+			for g := 1; ; {
 				p := basePhase(base, fmt.Sprintf("g=%d", g))
 				p.Goroutines = g
 				phases = append(phases, p)
 				weights = append(weights, 1)
 				if g == gmax {
 					break
+				}
+				if g > gmax/2 {
+					g = gmax // the last doubling, capped without overflowing
+				} else {
+					g *= 2
 				}
 			}
 			return assignBudgets(base, phases, weights)
@@ -83,8 +86,8 @@ func init() {
 			if err := o.Err(); err != nil {
 				return nil, err
 			}
-			if cycles < 1 {
-				return nil, fmt.Errorf("cycles %d must be ≥ 1", cycles)
+			if cycles < 1 || cycles > maxPhases/2 {
+				return nil, fmt.Errorf("cycles %d outside [1, %d]", cycles, maxPhases/2)
 			}
 			var phases []Phase
 			var weights []float64
@@ -111,8 +114,8 @@ func init() {
 			if err := o.Err(); err != nil {
 				return nil, err
 			}
-			if steps < 2 {
-				return nil, fmt.Errorf("steps %d must be ≥ 2", steps)
+			if steps < 2 || steps > maxPhases {
+				return nil, fmt.Errorf("steps %d outside [2, %d]", steps, maxPhases)
 			}
 			if base.Counter == "" || base.Queue == "" {
 				return nil, fmt.Errorf("mixshift needs both a counter and a queue (got counter %q, queue %q)", base.Counter, base.Queue)
@@ -153,6 +156,10 @@ func init() {
 	})
 }
 
+// maxPhases bounds the phases one scenario may expand to, so a mistyped
+// count parameter fails at expansion instead of allocating without bound.
+const maxPhases = 1 << 12
+
 // basePhase seeds a phase with the base workload's shape; scenarios
 // override fields and assignBudgets divides the budget.
 func basePhase(base Workload, name string) Phase {
@@ -178,14 +185,17 @@ func assignBudgets(base Workload, phases []Phase, weights []float64) ([]Phase, e
 	}
 	var total float64
 	for _, w := range weights {
-		if w <= 0 {
-			return nil, fmt.Errorf("non-positive phase weight %v", w)
+		if !(w > 0) || math.IsInf(w, 1) {
+			return nil, fmt.Errorf("phase weight %v is not a positive finite number", w)
 		}
 		total += w
 	}
+	if math.IsInf(total, 1) {
+		return nil, fmt.Errorf("phase weights overflow (sum %v)", total)
+	}
 	if base.Duration > 0 {
 		for i := range phases {
-			d := time.Duration(float64(base.Duration) * weights[i] / total)
+			d := time.Duration(share(float64(base.Duration), weights[i], total))
 			if d < 1 {
 				d = 1
 			}
@@ -203,17 +213,28 @@ func assignBudgets(base Workload, phases []Phase, weights []float64) ([]Phase, e
 	return phases, nil
 }
 
+// share is budget's proportional part for weight w of a finite weight
+// sum wsum. Weights near the float64 ceiling overflow budget·w, so those
+// divide first; ordinary weights keep the multiply-first rounding every
+// recorded split was made with.
+func share(budget, w, wsum float64) float64 {
+	if x := budget * w; !math.IsInf(x, 0) {
+		return x / wsum
+	}
+	return budget * (w / wsum)
+}
+
 // splitOps divides total operations across weights (whose sum is wsum)
 // by largest remainder: floors first, then hand the leftover ops to the
 // shares with the biggest fractional parts, then guarantee every share at
 // least one op by taking from the largest. The caller has already checked
-// total ≥ len(weights) and every weight positive.
+// total ≥ len(weights), every weight positive and finite, and wsum finite.
 func splitOps(total int, weights []float64, wsum float64) []int {
 	ops := make([]int, len(weights))
 	rem := make([]float64, len(weights))
 	assigned := 0
 	for i, w := range weights {
-		exact := float64(total) * w / wsum
+		exact := share(float64(total), w, wsum)
 		ops[i] = int(exact)
 		rem[i] = exact - float64(ops[i])
 		assigned += ops[i]

@@ -100,7 +100,8 @@ func TestStructureRegistryLookups(t *testing.T) {
 	if _, ok := LookupStructure("test-alpha", KindQueue); ok {
 		t.Error("test-alpha wrongly serves the queue kind")
 	}
-	// Probed capabilities of the legacy registrations.
+	// Probed capabilities of the lifted registrations, declared ones of
+	// the native.
 	if info, _ := LookupStructure("test-batch", KindCounter); !info.Caps.Has(CapBatch) {
 		t.Error("test-batch does not declare CapBatch")
 	}
@@ -118,37 +119,24 @@ func TestStructureRegistryLookups(t *testing.T) {
 	if _, err := NewStructure("test-native?x=1", KindCounter); err == nil {
 		t.Error("undeclared param accepted")
 	}
-}
-
-func TestNativeStructureHasNoLegacyView(t *testing.T) {
-	registerNativeTestStructure()
-	_, err := NewCounter("test-native")
-	if err == nil {
-		t.Fatal("NewCounter on a native structure accepted")
-	}
-	if !strings.Contains(err.Error(), "synchronous") {
-		t.Errorf("error does not explain the missing synchronous view: %v", err)
-	}
-	// And it is absent from the legacy listing but present in Structures.
-	for _, info := range Counters() {
-		if info.Name == "test-native" {
-			t.Error("native structure leaked into Counters()")
-		}
-	}
-	found := false
+	// Native and lifted registrations share the one listing.
+	found := 0
 	for _, info := range Structures() {
-		if info.Name == "test-native" {
-			found = true
+		if info.Name == "test-native" || info.Name == "test-alpha" {
+			found++
 		}
 	}
-	if !found {
-		t.Error("native structure missing from Structures()")
+	if found != 2 {
+		t.Errorf("Structures() lists %d of test-native, test-alpha", found)
 	}
 }
 
+// TestCounterAdapterSessions drives a lifted Counter through sessions:
+// every session shares the one counter, Enqueue is unsupported, and a
+// cancelled context is refused before the counter is touched.
 func TestCounterAdapterSessions(t *testing.T) {
 	registerTestImpls()
-	st, err := NewStructure("test-handle", KindCounter)
+	st, err := NewStructure("test-alpha", KindCounter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +145,7 @@ func TestCounterAdapterSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	var counts []int64
-	for i := 0; i < 6; i++ { // 6 is not a multiple of the test lease (4)
+	for i := 0; i < 6; i++ {
 		v, err := sess.Inc(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -170,17 +158,20 @@ func TestCounterAdapterSessions(t *testing.T) {
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
-	counts = append(counts, DrainCounts(st)...)
 	if err := ValidateCounts(counts); err != nil {
-		t.Errorf("handle-backed session leaked its lease: %v", err)
+		t.Errorf("adapter session counts: %v", err)
 	}
-	// Cancelled contexts are refused before touching the structure.
+	// Cancelled contexts are refused before touching the structure; the
+	// next session continues the shared count.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	sess2, _ := st.NewSession()
 	defer sess2.Close()
 	if _, err := sess2.Inc(cancelled); err == nil {
 		t.Error("Inc with a cancelled context accepted")
+	}
+	if v, err := sess2.Inc(context.Background()); err != nil || v != 7 {
+		t.Errorf("second session's first count = %d, %v; want 7", v, err)
 	}
 }
 

@@ -85,7 +85,7 @@ func (s Spec) With(key, value string) Spec {
 // the given default when the key is absent and record the first conversion
 // failure, so a constructor reads every parameter and then checks Err once:
 //
-//	shards := o.Int("shards", 0)
+//	width := o.Int("width", 8)
 //	batch := o.Int64("batch", 64)
 //	if err := o.Err(); err != nil {
 //		return nil, err

@@ -6,26 +6,26 @@ import (
 )
 
 func TestParseSpec(t *testing.T) {
-	s, err := ParseSpec("sharded")
+	s, err := ParseSpec("funnel")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Name != "sharded" || s.Options.Len() != 0 {
+	if s.Name != "funnel" || s.Options.Len() != 0 {
 		t.Errorf("bare name parsed as %+v", s)
 	}
 
-	s, err = ParseSpec("sharded?shards=64&batch=256")
+	s, err = ParseSpec("funnel?width=64&spin=256")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Name != "sharded" {
+	if s.Name != "funnel" {
 		t.Errorf("name = %q", s.Name)
 	}
-	if v, ok := s.Options.Lookup("shards"); !ok || v != "64" {
-		t.Errorf("shards = %q, %v", v, ok)
+	if v, ok := s.Options.Lookup("width"); !ok || v != "64" {
+		t.Errorf("width = %q, %v", v, ok)
 	}
-	if v, ok := s.Options.Lookup("batch"); !ok || v != "256" {
-		t.Errorf("batch = %q, %v", v, ok)
+	if v, ok := s.Options.Lookup("spin"); !ok || v != "256" {
+		t.Errorf("spin = %q, %v", v, ok)
 	}
 
 	// A trailing "?" with no parameters is the bare spec.
@@ -37,7 +37,7 @@ func TestParseSpec(t *testing.T) {
 		t.Errorf("empty query parsed as %+v", s)
 	}
 
-	for _, bad := range []string{"", "?shards=4", "a?x", "a?=4", "a?x=1&x=2", "a?x=1&"} {
+	for _, bad := range []string{"", "?width=4", "a?x", "a?=4", "a?x=1&x=2", "a?x=1&"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
@@ -45,7 +45,7 @@ func TestParseSpec(t *testing.T) {
 }
 
 func TestSpecStringRoundTrip(t *testing.T) {
-	for _, in := range []string{"sharded", "sharded?batch=256&shards=64", "funnel?depth=3&spin=8&width=4"} {
+	for _, in := range []string{"funnel", "funnel?spin=256&width=64", "funnel?depth=3&spin=8&width=4"} {
 		s, err := ParseSpec(in)
 		if err != nil {
 			t.Fatal(err)
@@ -62,34 +62,34 @@ func TestSpecStringRoundTrip(t *testing.T) {
 		}
 	}
 	// Keys render sorted regardless of input order.
-	s, err := ParseSpec("sharded?shards=64&batch=256")
+	s, err := ParseSpec("funnel?width=64&spin=256")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.String(); got != "sharded?batch=256&shards=64" {
+	if got := s.String(); got != "funnel?spin=256&width=64" {
 		t.Errorf("canonical form not sorted: %q", got)
 	}
 }
 
 func TestSpecWith(t *testing.T) {
-	base, err := ParseSpec("sharded?shards=4")
+	base, err := ParseSpec("funnel?width=4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := base.With("batch", "16")
-	b := base.With("batch", "256")
-	if got := a.String(); got != "sharded?batch=16&shards=4" {
+	a := base.With("spin", "16")
+	b := base.With("spin", "256")
+	if got := a.String(); got != "funnel?spin=16&width=4" {
 		t.Errorf("a = %q", got)
 	}
-	if got := b.String(); got != "sharded?batch=256&shards=4" {
+	if got := b.String(); got != "funnel?spin=256&width=4" {
 		t.Errorf("b = %q", got)
 	}
 	// The base spec is untouched — With copies.
-	if got := base.String(); got != "sharded?shards=4" {
+	if got := base.String(); got != "funnel?width=4" {
 		t.Errorf("base mutated by With: %q", got)
 	}
 	// With replaces an existing key.
-	if got := a.With("batch", "32").String(); got != "sharded?batch=32&shards=4" {
+	if got := a.With("spin", "32").String(); got != "funnel?spin=32&width=4" {
 		t.Errorf("replace = %q", got)
 	}
 }

@@ -70,7 +70,7 @@ func ParseArrival(name string) (Arrival, error) {
 // persist; otherwise the whole budget runs as one steady phase.
 type Workload struct {
 	// Counter and Queue are structure specs — a registered name, optionally
-	// with parameters ("sharded?shards=4&batch=16"). At least one must be
+	// with parameters ("sharded?batch=16"). At least one must be
 	// set; leaving one empty runs a pure workload of the other kind.
 	Counter string
 	Queue   string
@@ -99,9 +99,10 @@ type Workload struct {
 	Mix float64
 	// Batch, when > 1, issues counter operations as IncN(Batch) block
 	// grants — one coordination round per Batch counts — and validation
-	// covers the granted ranges. The counter must implement
-	// BatchIncrementer: a batch request against a counter without the
-	// capability is rejected, never silently downgraded to single Incs.
+	// covers the granted ranges. The counter must declare CapBatch (a
+	// lifted BatchIncrementer, or BatchSession sessions): a batch request
+	// against a counter without the capability is rejected, never
+	// silently downgraded to single Incs.
 	Batch int
 	// Inflight, when > 1, keeps that many operations outstanding per
 	// worker through the structure's AsyncSession capability — the op

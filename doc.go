@@ -12,15 +12,15 @@
 // system inventory; `go run ./cmd/countq run all` regenerates the
 // paper-versus-measured tables.
 //
-// # Quickstart: sessions, structures, and the registry (core API v2)
+// # Quickstart: sessions, structures, and the registry
 //
 // The public package repro/countq exposes every counting and queuing
 // backend behind one registry of Structures. A Structure is a session
 // factory; a Session is one worker's conversation with it, and
-// Session.Inc(ctx) / Session.Enqueue(ctx, id) are the canonical
-// operations — context-aware and fallible, so backends whose coordination
-// round is not a synchronous shared-memory call (the message-passing sim
-// bridge) are first-class citizens:
+// Session.Inc(ctx) / Session.Enqueue(ctx, id) are the only operations —
+// context-aware and fallible, so a shared-memory counter and a backend
+// whose coordination round is a routed message round trip (the sim
+// bridge) are driven the same way:
 //
 //	import (
 //		"repro/countq"
@@ -29,10 +29,14 @@
 //		_ "repro/internal/sim" // register the sim bridge (sim-counter, sim-queue)
 //	)
 //
-//	st, _ := countq.NewStructure("sim-counter?hoplat=1us", countq.KindCounter)
-//	sess, _ := st.NewSession()
-//	defer sess.Close()
+//	st, _ := countq.NewStructure("sharded?batch=16", countq.KindCounter)
+//	sess, _ := st.NewSession() // one per worker goroutine
+//	defer sess.Close()         // surrenders the session's unused lease
 //	count, err := sess.Inc(ctx)
+//
+//	br, _ := countq.NewStructure("sim-counter?hoplat=1us", countq.KindCounter)
+//	bsess, _ := br.NewSession()
+//	count, err = bsess.Inc(ctx) // one routed round trip
 //
 // Structures declare their kinds (counter, queue), construction params,
 // and session capabilities in the registry: CapBatch sessions implement
@@ -43,21 +47,13 @@
 // not hinted: a workload that asks for Batch or Inflight against a
 // structure without the capability is rejected before any goroutine runs.
 //
-// Legacy implementations register unchanged: RegisterCounter and
-// RegisterQueue lift a Counter/Queuer (with its HandleMaker,
-// BatchIncrementer and Drainer capability interfaces) into the structure
-// registry through thin session adapters, probing and declaring its caps.
-// NewCounter/NewQueue remain as the synchronous compatibility view.
-//
-// Migration, legacy → v2:
-//
-//	NewCounter(spec).Inc()            → NewStructure(spec, KindCounter); sess.Inc(ctx)
-//	NewQueue(spec).Enqueue(id)        → NewStructure(spec, KindQueue); sess.Enqueue(ctx, id)
-//	HandleMaker / CounterHandle       → NewSession / Session (handles are the sync special case)
-//	BatchIncrementer.IncN(n)          → BatchSession.IncN(ctx, n)     [CapBatch]
-//	(inexpressible)                   → AsyncSession.Submit/Completions [CapAsync]
-//	Drainer.Drain()                   → DrainCounts(structure)
-//	Counters() / Queues()             → Structures() (legacy listings remain, sync-view only)
+// Implementations register a Structure constructor with
+// RegisterStructure. A plain synchronous Counter or Queuer registers
+// through RegisterCounter / RegisterQueue, which lift it into a Structure
+// whose sessions call it directly (a BatchIncrementer counter's sessions
+// become BatchSessions). `countq list` prints the one registry: every
+// structure with its kind, consistency (linearizable or quiescent) and
+// capabilities.
 //
 // The scenario engine runs the paper's counting-versus-queuing contrast
 // over any registered pair — as one steady phase or as a registered
@@ -91,7 +87,7 @@
 //	cmp, err := countq.Campaign{
 //		Base: countq.Workload{Scenario: "ramp?gmax=8", Ops: 1 << 20},
 //		Entries: []countq.Entry{
-//			{Counter: "sharded?shards=8"},
+//			{Counter: "sharded"},
 //			{Counter: "sim-counter?hoplat=1us"},
 //			{Counter: "sim-counter?hoplat=1us", Inflight: 16},
 //		},
@@ -105,8 +101,8 @@
 //	go run ./cmd/countq list -v                               # structures, kinds, caps, tunables
 //	go run ./cmd/countq scenarios -v                          # scenario catalogue + declared params
 //	go run ./cmd/countq drive -counter sim-counter -inflight 16 -scenario 'ramp?gmax=8' -json
-//	go run ./cmd/countq compare "sharded?shards=8,sim-counter?hoplat=1us" -scenario "ramp?gmax=8"
-//	go run ./cmd/countq compare -sweep shards=2,8,32 sharded
+//	go run ./cmd/countq compare "sharded,sim-counter?hoplat=1us" -scenario "ramp?gmax=8"
+//	go run ./cmd/countq compare -sweep batch=8,64,512 sharded
 //	go run ./cmd/countq benchdiff -noise 0.10 BENCH_old.json BENCH_now.json
 //
 // Benchmarks in bench_test.go iterate the registry and sweep the declared

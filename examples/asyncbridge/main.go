@@ -27,7 +27,7 @@ func main() {
 	cmp, err := countq.Campaign{
 		Base: countq.Workload{Scenario: "ramp?gmax=8", Ops: 40000, Seed: 1},
 		Entries: []countq.Entry{
-			{Counter: "sharded?shards=8"},
+			{Counter: "sharded"},
 			{Counter: "sim-counter?hoplat=1us"},
 		},
 	}.Run()

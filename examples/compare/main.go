@@ -35,7 +35,7 @@ func main() {
 		Entries: []countq.Entry{
 			{Counter: "atomic"}, // the baseline: hardware fetch-add
 			{Counter: "mutex"},
-			{Counter: "sharded?shards=64"},
+			{Counter: "sharded?batch=256"},
 			{Counter: "funnel"},
 		},
 	}.Run()

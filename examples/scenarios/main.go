@@ -31,7 +31,7 @@ func main() {
 	// The ramp scenario doubles contention 1 → gmax. Tail latency (p99),
 	// not the mean, is where the scalable counters give the game away.
 	fmt.Println("\nramp 1→4 goroutines, 100k ops, pure counting:")
-	for _, spec := range []string{"atomic", "sharded?shards=4&batch=64"} {
+	for _, spec := range []string{"atomic", "sharded?batch=16"} {
 		m, err := countq.Run(countq.Workload{
 			Counter:    spec,
 			Scenario:   "ramp?gmax=4",

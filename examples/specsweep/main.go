@@ -1,11 +1,13 @@
-// Spec sweep: the parameterized-spec API end to end. Constructs counters
+// Spec sweep: the parameterized-spec API end to end. Constructs structures
 // from DSN-style specs, sweeps the sharded counter's lease batch size with
-// Spec.With, and shows the two capability escape hatches — per-goroutine
-// handles (HandleMaker) and block grants (BatchIncrementer) — moving the
-// coordination cost the paper's lower bound prices per operation.
+// Spec.With, and shows the two session escape hatches — a per-session
+// lease (the CapHandle fast path) and block grants (BatchSession) —
+// moving the coordination cost the paper's lower bound prices per
+// operation.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,7 +19,10 @@ import (
 func main() {
 	// Every registered structure documents its own tunables.
 	fmt.Println("declared tunables:")
-	for _, info := range countq.Counters() {
+	for _, info := range countq.Structures() {
+		if !info.Kinds.Has(countq.KindCounter) || info.Caps.Has(countq.CapAsync) {
+			continue // the synchronous counters
+		}
 		for _, p := range info.Params {
 			fmt.Printf("  %-12s %-8s default %-12s %s\n", info.Name, p.Name, p.Default, p.Doc)
 		}
@@ -25,7 +30,7 @@ func main() {
 
 	// Sweep the sharded counter's lease batch: one global fetch-and-add
 	// per `batch` counts, so bigger batches amortize the hot word further.
-	base, err := countq.ParseSpec("sharded?shards=4")
+	base, err := countq.ParseSpec("sharded")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,24 +52,39 @@ func main() {
 			spec, res.NsPerOp(), res.Aggregate.CounterLat.P50Ns, res.Aggregate.CounterLat.P99Ns)
 	}
 
-	// Capability interfaces, used directly: a handle owns a private lease
-	// (the uncontended fast path), and IncN grants a whole block of counts
-	// for one coordination round.
-	c, err := countq.NewCounter("sharded?shards=2&batch=64")
+	// Sessions, used directly: a session owns a private lease (the
+	// uncontended fast path), and IncN grants a whole block of counts for
+	// one coordination round.
+	ctx := context.Background()
+	st, err := countq.NewStructure("sharded?batch=64", countq.KindCounter)
 	if err != nil {
 		log.Fatal(err)
 	}
-	h := c.(countq.HandleMaker).NewHandle()
-	a, b := h.Inc(), h.Inc()
-	h.Close() // surrender the unused lease remainder
-	first := c.(countq.BatchIncrementer).IncN(100)
-	fmt.Printf("\nhandle counts: %d, %d; IncN(100) granted block [%d,%d]\n", a, b, first, first+99)
+	sess, err := st.NewSession()
+	if err != nil {
+		log.Fatal(err)
+	}
+	a, _ := sess.Inc(ctx)
+	b, _ := sess.Inc(ctx)
+	first, err := sess.(countq.BatchSession).IncN(ctx, 100)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sess.Close() // surrender the unused lease remainder
+	fmt.Printf("\nsession counts: %d, %d; IncN(100) granted block [%d,%d]\n", a, b, first, first+99)
 
 	// The queue side of the paper's contrast needs no tunables at all:
 	// learning your predecessor is one atomic swap.
-	q, err := countq.NewQueue("swap")
+	qs, err := countq.NewStructure("swap", countq.KindQueue)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("swap queue predecessors: %d, %d (Head = %d)\n", q.Enqueue(1), q.Enqueue(2), countq.Head)
+	qsess, err := qs.NewSession()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer qsess.Close()
+	p1, _ := qsess.Enqueue(ctx, 1)
+	p2, _ := qsess.Enqueue(ctx, 2)
+	fmt.Printf("swap queue predecessors: %d, %d (Head = %d)\n", p1, p2, countq.Head)
 }

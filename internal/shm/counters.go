@@ -5,7 +5,7 @@
 // counter, a flat-combining counter (batching concurrent increments, in the
 // spirit of software combining trees), a combining-funnel variant, a
 // bitonic counting network with per-balancer locks, a diffracting tree,
-// and a sharded per-P counter with leased count blocks. The queuing side
+// and a sharded counter whose sessions lease count blocks. The queuing side
 // is the telling contrast: learning your predecessor needs a single atomic
 // swap (the "distributed swap" of Herlihy, Tirthapura and Wattenhofer),
 // with no validation, no retry and no multi-location coordination.
@@ -23,7 +23,7 @@
 // Every implementation registers itself with the public repro/countq
 // registry on import (see register.go), so importing this package for its
 // side effects makes the whole zoo constructible by name via
-// countq.NewCounter / countq.NewQueue.
+// countq.NewStructure.
 package shm
 
 import (

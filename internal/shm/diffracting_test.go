@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"repro/countq"
 )
 
 func TestDiffractingSequential(t *testing.T) {
@@ -81,17 +83,15 @@ func TestDiffractingConcurrent(t *testing.T) {
 	}
 }
 
+// TestDiffractingMeasured runs the tree through the validated workload
+// driver, one session per worker.
 func TestDiffractingMeasured(t *testing.T) {
-	d, err := NewDiffractingCounter(4, 16)
+	m, err := countq.Run(countq.Workload{Counter: "diffracting?leaves=4&spin=16", Goroutines: 4, Ops: 800, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := MeasureCounter("diffracting", d, 4, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Ops != 800 {
-		t.Errorf("ops = %d", m.Ops)
+	if m.Aggregate.CounterOps != 800 {
+		t.Errorf("ops = %d", m.Aggregate.CounterOps)
 	}
 }
 

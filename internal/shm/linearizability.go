@@ -1,10 +1,13 @@
 package shm
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/countq"
 )
 
 // Span records one counter operation's observation window against a global
@@ -14,32 +17,49 @@ type Span struct {
 	Start, End, Value int64
 }
 
-// RecordSpans runs goroutines×opsPerG increments against c, bracketing each
-// with ticks from a shared logical clock.
-func RecordSpans(c Counter, goroutines, opsPerG int) []Span {
+// RecordSpans runs goroutines×opsPerG increments against st, one session
+// per goroutine, bracketing each with ticks from a shared logical clock.
+// Every session is closed when it returns, so countq.DrainCounts(st) then
+// yields the remainder that completes the span values to 1..max.
+func RecordSpans(st countq.Structure, goroutines, opsPerG int) ([]Span, error) {
 	var clock atomic.Int64
-	spans := make([][]Span, goroutines)
+	per := make([][]Span, goroutines)
+	errs := make([]error, goroutines)
+	ctx := context.Background()
 	var wg sync.WaitGroup
 	for gi := 0; gi < goroutines; gi++ {
 		wg.Add(1)
 		go func(gi int) {
 			defer wg.Done()
+			sess, err := st.NewSession()
+			if err != nil {
+				errs[gi] = err
+				return
+			}
+			defer sess.Close()
 			out := make([]Span, opsPerG)
 			for i := range out {
 				s := clock.Add(1)
-				v := c.Inc()
+				v, err := sess.Inc(ctx)
 				e := clock.Add(1)
+				if err != nil {
+					errs[gi] = err
+					return
+				}
 				out[i] = Span{Start: s, End: e, Value: v}
 			}
-			spans[gi] = out
+			per[gi] = out
 		}(gi)
 	}
 	wg.Wait()
-	var all []Span
-	for _, s := range spans {
-		all = append(all, s...)
+	var spans []Span
+	for gi, s := range per {
+		if errs[gi] != nil {
+			return nil, errs[gi]
+		}
+		spans = append(spans, s...)
 	}
-	return all
+	return spans, nil
 }
 
 // CheckLinearizable verifies the real-time ordering condition for a

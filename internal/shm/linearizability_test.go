@@ -1,6 +1,35 @@
 package shm
 
-import "testing"
+import (
+	"testing"
+
+	"repro/countq"
+)
+
+// recordSpec records spans over a fresh structure built from spec, one
+// session per goroutine, and returns them with the structure's drained
+// remainder.
+func recordSpec(t *testing.T, spec string, goroutines, opsPerG int) ([]Span, []int64) {
+	t.Helper()
+	st, err := countq.NewStructure(spec, countq.KindCounter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans, err := RecordSpans(st, goroutines, opsPerG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spans, countq.DrainCounts(st)
+}
+
+// spanValues returns the span values followed by extra.
+func spanValues(spans []Span, extra []int64) []int64 {
+	vals := make([]int64, 0, len(spans)+len(extra))
+	for _, s := range spans {
+		vals = append(vals, s.Value)
+	}
+	return append(vals, extra...)
+}
 
 func TestCheckLinearizableAccepts(t *testing.T) {
 	spans := []Span{
@@ -24,14 +53,14 @@ func TestCheckLinearizableRejects(t *testing.T) {
 }
 
 func TestAtomicCounterLinearizable(t *testing.T) {
-	spans := RecordSpans(NewAtomicCounter(), 8, 500)
+	spans, _ := recordSpec(t, "atomic", 8, 500)
 	if err := CheckLinearizable(spans); err != nil {
 		t.Errorf("atomic counter: %v", err)
 	}
 }
 
 func TestMutexCounterLinearizable(t *testing.T) {
-	spans := RecordSpans(NewMutexCounter(), 8, 500)
+	spans, _ := recordSpec(t, "mutex", 8, 500)
 	if err := CheckLinearizable(spans); err != nil {
 		t.Errorf("mutex counter: %v", err)
 	}
@@ -41,7 +70,7 @@ func TestCombiningCounterLinearizable(t *testing.T) {
 	// Flat combining applies batched operations inside one combiner
 	// critical section; each response is handed out after its increment
 	// took effect, so real-time order is preserved.
-	spans := RecordSpans(NewCombiningCounter(64), 8, 300)
+	spans, _ := recordSpec(t, "combining?pending=64", 8, 300)
 	if err := CheckLinearizable(spans); err != nil {
 		t.Errorf("combining counter: %v", err)
 	}
@@ -53,16 +82,8 @@ func TestNetworkCounterQuiescentButMaybeNotLinearizable(t *testing.T) {
 	// smaller count after a larger one completed. The validity
 	// (permutation) property must hold regardless; linearizability is
 	// reported but not required.
-	nc, err := NewNetworkCounter(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spans := RecordSpans(nc, 8, 500)
-	vals := make([]int64, len(spans))
-	for i, s := range spans {
-		vals[i] = s.Value
-	}
-	if err := ValidateCounts(vals); err != nil {
+	spans, drained := recordSpec(t, "network?width=8", 8, 500)
+	if err := ValidateCounts(spanValues(spans, drained)); err != nil {
 		t.Fatalf("network counter validity: %v", err)
 	}
 	if err := CheckLinearizable(spans); err != nil {
@@ -73,16 +94,8 @@ func TestNetworkCounterQuiescentButMaybeNotLinearizable(t *testing.T) {
 }
 
 func TestDiffractingCounterValiditySpans(t *testing.T) {
-	d, err := NewDiffractingCounter(8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spans := RecordSpans(d, 8, 300)
-	vals := make([]int64, len(spans))
-	for i, s := range spans {
-		vals[i] = s.Value
-	}
-	if err := ValidateCounts(vals); err != nil {
+	spans, drained := recordSpec(t, "diffracting?leaves=8&spin=16", 8, 300)
+	if err := ValidateCounts(spanValues(spans, drained)); err != nil {
 		t.Fatalf("diffracting validity: %v", err)
 	}
 }

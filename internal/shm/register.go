@@ -18,7 +18,7 @@ var variantSpecs = map[string][]string{
 	"funnel":       {"funnel?width=4&depth=3&spin=8", "funnel?width=8&depth=3"},
 	"network":      {"network?width=4", "network?width=16"},
 	"diffracting":  {"diffracting?leaves=4&spin=4", "diffracting?leaves=16"},
-	"sharded":      {"sharded?shards=2&batch=8", "sharded?shards=16&batch=256"},
+	"sharded":      {"sharded?batch=8", "sharded?batch=256"},
 	"async-funnel": {"async-funnel?pipeline=8", "async-funnel?spin=64"},
 	"elim":         {"elim?pipeline=8&spin=16", "elim?pipeline=1024"},
 }
@@ -140,21 +140,21 @@ func init() {
 			return NewDiffractingCounter(leaves, spin)
 		},
 	})
-	countq.RegisterCounter(countq.CounterInfo{
+	countq.RegisterStructure(countq.StructureInfo{
 		Name:         "sharded",
-		Summary:      "per-P shards leasing count blocks, reconciled on demand",
+		Summary:      "per-session leases of count blocks off one high-water mark; Close repools the remainder",
+		Kinds:        countq.KindCounter,
 		Linearizable: false,
 		Params: []countq.ParamInfo{
-			{Name: "shards", Default: "GOMAXPROCS", Doc: "number of shards, each leasing count blocks independently"},
 			{Name: "batch", Default: "64", Doc: "counts leased from the global high-water mark per refill"},
 		},
-		New: func(o countq.Options) (countq.Counter, error) {
-			shards := o.Int("shards", 0)
+		Caps: countq.CapHandle | countq.CapBatch,
+		New: func(o countq.Options) (countq.Structure, error) {
 			batch := o.Int64("batch", 0)
-			if err := requireAtLeast1(&o, "shards", "batch"); err != nil {
+			if err := requireAtLeast1(&o, "batch"); err != nil {
 				return nil, err
 			}
-			return NewShardedCounter(shards, batch)
+			return NewShardedCounter(batch)
 		},
 	})
 

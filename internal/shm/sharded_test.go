@@ -1,79 +1,68 @@
 package shm
 
 import (
-	"runtime"
+	"context"
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/countq"
 )
 
-// shardedAll runs goroutines×opsPerG increments and returns the handed-out
-// counts together with the drained remainder.
-func shardedAll(t *testing.T, c *ShardedCounter, goroutines, opsPerG int) (handed, drained []int64) {
+// newSharded builds a sharded counter through the registry, as every
+// measured path does.
+func newSharded(t *testing.T, spec string) countq.Structure {
 	t.Helper()
-	results := make([][]int64, goroutines)
-	var wg sync.WaitGroup
-	for gi := 0; gi < goroutines; gi++ {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			vals := make([]int64, opsPerG)
-			for i := range vals {
-				vals[i] = c.Inc()
-			}
-			results[gi] = vals
-		}(gi)
-	}
-	wg.Wait()
-	for _, vs := range results {
-		handed = append(handed, vs...)
-	}
-	return handed, c.Drain()
-}
-
-// TestShardedCounterDistinctNoGaps is the sharded counter's correctness
-// check under -race: counts handed out concurrently are distinct, and
-// together with the drained lease remainders they cover 1..max without
-// gaps.
-func TestShardedCounterDistinctNoGaps(t *testing.T) {
-	for _, cfg := range []struct{ shards, batch int }{
-		{1, 1}, {2, 8}, {4, 64}, {8, 17},
-	} {
-		c, err := NewShardedCounter(cfg.shards, int64(cfg.batch))
-		if err != nil {
-			t.Fatal(err)
-		}
-		handed, drained := shardedAll(t, c, 8, 500)
-		if len(handed) != 8*500 {
-			t.Fatalf("shards=%d batch=%d: %d counts handed out", cfg.shards, cfg.batch, len(handed))
-		}
-		if err := ValidateCounts(append(append([]int64(nil), handed...), drained...)); err != nil {
-			t.Errorf("shards=%d batch=%d: %v", cfg.shards, cfg.batch, err)
-		}
-	}
-}
-
-// TestShardedCounterReconcile checks that reconciled remainders are
-// reissued — after Reconcile, new increments consume the pooled ranges
-// before touching the global high-water mark, so a fully-drained counter
-// still covers 1..max exactly.
-func TestShardedCounterReconcile(t *testing.T) {
-	// One shard keeps the lease sequence deterministic (sync.Pool
-	// affinity is randomized under -race).
-	c, err := NewShardedCounter(1, 64)
+	st, err := countq.NewStructure(spec, countq.KindCounter)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return st
+}
+
+// TestShardedCounterDistinctNoGaps is the sharded counter's correctness
+// check under -race: counts handed out concurrently through sessions are
+// distinct, and together with the drained lease remainders they cover
+// 1..max without gaps.
+func TestShardedCounterDistinctNoGaps(t *testing.T) {
+	for _, batch := range []int{1, 8, 64, 17} {
+		spans, drained := recordSpec(t, fmt.Sprintf("sharded?batch=%d", batch), 8, 500)
+		if len(spans) != 8*500 {
+			t.Fatalf("batch=%d: %d counts handed out", batch, len(spans))
+		}
+		if err := ValidateCounts(spanValues(spans, drained)); err != nil {
+			t.Errorf("batch=%d: %v", batch, err)
+		}
+	}
+}
+
+// TestShardedCounterReconcile checks that surrendered lease remainders are
+// reissued — after a session closes, the next refill consumes the pooled
+// range before touching the global high-water mark, so a fully-drained
+// counter still covers 1..max exactly.
+func TestShardedCounterReconcile(t *testing.T) {
+	st := newSharded(t, "sharded?batch=64")
+	ctx := context.Background()
 	var all []int64
-	for i := 0; i < 10; i++ {
-		all = append(all, c.Inc())
+	incs := func(n int) {
+		sess, err := st.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			v, err := sess.Inc(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, v)
+		}
+		if err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	c.Reconcile() // pools the 54 unused counts of the first lease
-	for i := 0; i < 100; i++ {
-		all = append(all, c.Inc())
-	}
-	if err := ValidateCounts(append(append([]int64(nil), all...), c.Drain()...)); err != nil {
+	incs(10)  // Close pools the 54 unused counts of the first lease
+	incs(100) // reissues them, then leases one fresh batch
+	if err := ValidateCounts(append(append([]int64(nil), all...), countq.DrainCounts(st)...)); err != nil {
 		t.Fatal(err)
 	}
 	// The pooled remainder must be reissued rather than leaked: 110 ops
@@ -86,26 +75,18 @@ func TestShardedCounterReconcile(t *testing.T) {
 		}
 	}
 	if max > 128 {
-		t.Errorf("high-water mark %d suggests reconciled ranges were not reissued", max)
+		t.Errorf("high-water mark %d suggests surrendered ranges were not reissued", max)
 	}
 }
 
 // TestShardedCounterQuiescentNotLinearizable documents the sharded
 // counter's consistency level: validity (distinct, gap-free after drain)
-// always holds, while linearizability is not guaranteed — shards hold
+// always holds, while linearizability is not guaranteed — sessions hold
 // blocks from different eras, exactly like a counting network's output
 // wires.
 func TestShardedCounterQuiescentNotLinearizable(t *testing.T) {
-	c, err := NewShardedCounter(4, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spans := RecordSpans(c, 8, 500)
-	vals := make([]int64, len(spans))
-	for i, s := range spans {
-		vals[i] = s.Value
-	}
-	if err := ValidateCounts(append(vals, c.Drain()...)); err != nil {
+	spans, drained := recordSpec(t, "sharded?batch=32", 8, 500)
+	if err := ValidateCounts(spanValues(spans, drained)); err != nil {
 		t.Fatalf("sharded validity: %v", err)
 	}
 	if err := CheckLinearizable(spans); err != nil {
@@ -116,57 +97,32 @@ func TestShardedCounterQuiescentNotLinearizable(t *testing.T) {
 }
 
 func TestShardedCounterRejectsBadBatch(t *testing.T) {
-	if _, err := NewShardedCounter(2, -3); err == nil {
+	if _, err := NewShardedCounter(-3); err == nil {
 		t.Error("negative batch accepted")
 	}
 }
 
-// TestShardedCounterHandles exercises the explicit per-worker lease path
-// (countq.HandleMaker) under -race: every worker Incs through its own
-// handle, Close surrenders the remainders, and handed ∪ drained must tile
-// 1..max exactly.
+// TestShardedCounterHandles exercises the per-session lease path under
+// -race with an op count that is not a multiple of the batch, so every
+// session closes on a partial lease: Close surrenders the remainders, and
+// handed ∪ drained must tile 1..max exactly.
 func TestShardedCounterHandles(t *testing.T) {
-	c, err := NewShardedCounter(4, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const goroutines, opsPerG = 8, 501 // odd count forces partial leases
-	results := make([][]int64, goroutines)
-	var wg sync.WaitGroup
-	for gi := 0; gi < goroutines; gi++ {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			h := c.NewHandle()
-			defer h.Close()
-			vals := make([]int64, opsPerG)
-			for i := range vals {
-				vals[i] = h.Inc()
-			}
-			results[gi] = vals
-		}(gi)
+	spans, drained := recordSpec(t, "sharded?batch=32", goroutines, opsPerG)
+	if len(spans) != goroutines*opsPerG {
+		t.Fatalf("%d counts handed out", len(spans))
 	}
-	wg.Wait()
-	var all []int64
-	for _, vs := range results {
-		all = append(all, vs...)
-	}
-	if len(all) != goroutines*opsPerG {
-		t.Fatalf("%d counts handed out", len(all))
-	}
-	if err := ValidateCounts(append(all, c.Drain()...)); err != nil {
-		t.Errorf("handles: %v", err)
+	if err := ValidateCounts(spanValues(spans, drained)); err != nil {
+		t.Errorf("sessions: %v", err)
 	}
 }
 
-// TestShardedCounterHandlesMixed runs handle holders, plain Inc callers
-// and IncN batchers concurrently: all three allocation paths share one
-// high-water mark and must still jointly tile 1..max.
+// TestShardedCounterHandlesMixed runs lease-path sessions, IncN batchers
+// and sessions interleaving both concurrently: the allocation paths share
+// one high-water mark and must still jointly tile 1..max.
 func TestShardedCounterHandlesMixed(t *testing.T) {
-	c, err := NewShardedCounter(2, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newSharded(t, "sharded?batch=16")
+	ctx := context.Background()
 	var (
 		wg      sync.WaitGroup
 		mu      sync.Mutex
@@ -177,23 +133,34 @@ func TestShardedCounterHandlesMixed(t *testing.T) {
 		wg.Add(1)
 		go func(gi int) {
 			defer wg.Done()
+			sess, err := st.NewSession()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			bs := sess.(countq.BatchSession)
 			var mine []int64
 			var myBlocks []countq.CountRange
-			switch gi % 3 {
-			case 0: // handle path
-				h := c.NewHandle()
-				defer h.Close()
-				for i := 0; i < 400; i++ {
-					mine = append(mine, h.Inc())
+			for i := 0; i < 400; i++ {
+				// gi%3: 0 leases only, 1 alternates, 2 grants blocks only.
+				if gi%3 == 2 || (gi%3 == 1 && i%2 == 1) {
+					first, err := bs.IncN(ctx, 10)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					myBlocks = append(myBlocks, countq.CountRange{First: first, N: 10})
+					continue
 				}
-			case 1: // plain shard path
-				for i := 0; i < 400; i++ {
-					mine = append(mine, c.Inc())
+				v, err := sess.Inc(ctx)
+				if err != nil {
+					t.Error(err)
+					return
 				}
-			case 2: // batch path
-				for i := 0; i < 40; i++ {
-					myBlocks = append(myBlocks, countq.CountRange{First: c.IncN(10), N: 10})
-				}
+				mine = append(mine, v)
+			}
+			if err := sess.Close(); err != nil {
+				t.Error(err)
 			}
 			mu.Lock()
 			singles = append(singles, mine...)
@@ -202,30 +169,28 @@ func TestShardedCounterHandlesMixed(t *testing.T) {
 		}(gi)
 	}
 	wg.Wait()
-	if err := countq.ValidateCountRanges(append(singles, c.Drain()...), blocks); err != nil {
+	if err := countq.ValidateCountRanges(append(singles, countq.DrainCounts(st)...), blocks); err != nil {
 		t.Errorf("mixed allocation paths: %v", err)
 	}
 }
 
 func TestShardedCounterIncN(t *testing.T) {
-	c, err := NewShardedCounter(2, 8)
+	sess, err := newSharded(t, "sharded?batch=8").NewSession()
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := c.IncN(5)
-	if first != 1 {
-		t.Errorf("first block starts at %d, want 1", first)
+	defer sess.Close()
+	bs := sess.(countq.BatchSession)
+	ctx := context.Background()
+	if first, err := bs.IncN(ctx, 5); err != nil || first != 1 {
+		t.Errorf("first block starts at %d, %v; want 1", first, err)
 	}
-	second := c.IncN(3)
-	if second != 6 {
-		t.Errorf("second block starts at %d, want 6", second)
+	if second, err := bs.IncN(ctx, 3); err != nil || second != 6 {
+		t.Errorf("second block starts at %d, %v; want 6", second, err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("IncN(0) did not panic")
-		}
-	}()
-	c.IncN(0)
+	if _, err := bs.IncN(ctx, 0); err == nil {
+		t.Error("IncN(0) accepted")
+	}
 }
 
 func TestFunnelCounterValidates(t *testing.T) {
@@ -267,25 +232,8 @@ func TestFunnelCounterValidates(t *testing.T) {
 // every member has started, so the funnel — unlike the counting network —
 // preserves real-time order.
 func TestFunnelCounterLinearizable(t *testing.T) {
-	c, err := NewFunnelCounter(2, 2, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spans := RecordSpans(c, 8, 300)
+	spans, _ := recordSpec(t, "funnel?width=2&depth=2&spin=16", 8, 300)
 	if err := CheckLinearizable(spans); err != nil {
 		t.Errorf("funnel counter: %v", err)
-	}
-}
-
-// TestShardedDefaultShards pins the constructor default: the shard array
-// sizes itself from GOMAXPROCS at construction (the `shards` param still
-// overrides), so the per-P affinity scheme has one shard per P to land on.
-func TestShardedDefaultShards(t *testing.T) {
-	c, err := NewShardedCounter(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := c.Shards(), runtime.GOMAXPROCS(0); got != want {
-		t.Errorf("default shard count = %d, want GOMAXPROCS = %d", got, want)
 	}
 }

@@ -264,10 +264,6 @@ func TestBridgeThroughDriver(t *testing.T) {
 			}
 		}
 	}
-	// The synchronous compatibility view is absent by design.
-	if _, err := countq.NewCounter("sim-counter"); err == nil {
-		t.Error("NewCounter(sim-counter) accepted; the bridge has no synchronous view")
-	}
 	// Inflight against a structure without CapAsync fails loudly.
 	if _, err := countq.Run(countq.Workload{Counter: "sim-counter?hoplat=0", Queue: "mutex", Mix: 0.5, Ops: 200, Inflight: 4}); err == nil {
 		t.Error("inflight pipelining against a sync-only queue accepted")

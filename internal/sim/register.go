@@ -6,16 +6,16 @@ import (
 	"repro/countq"
 )
 
-// The bridge structures register with the public countq registry v3, so
-// the message-passing protocols run under the same scenario engine,
+// The bridge structures register with the public countq registry, so the
+// message-passing protocols run under the same scenario engine,
 // validation pass and campaign comparisons as the shared-memory zoo:
 //
-//	countq compare "sharded?shards=8,sim-counter?hoplat=1us" -scenario "ramp?gmax=8"
+//	countq compare "sharded,sim-counter?hoplat=1us" -scenario "ramp?gmax=8"
 //
-// They are native session structures — their coordination round is a
-// routed message round trip, not a synchronous call — so they have no
-// legacy Counter/Queuer view and are driven exclusively through sessions
-// (which is the point: this backend is expressible only in the v2 API).
+// They are native session structures: their coordination round is a
+// routed message round trip, not a synchronous call, so sessions with a
+// context and (for pipelining) asynchronous completions are the only
+// form in which they can be driven.
 //
 // This file registers the central-protocol bridges; the distributed
 // protocols register their own specs (sim-arrow-queue in internal/arrow,
